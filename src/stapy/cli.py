@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import get_benchmark, list_benchmarks
-from .core import SearchSpace, StaParams
+from .core import ObjectiveFn, SearchSpace, StaParams
 from .engine import RunAborted, sta_run
 from .expressions import ExpressionError, parse_expression
 
@@ -32,6 +32,7 @@ class CliError(ValueError):
 class RunConfig:
     function: str
     dim: int
+    objective: ObjectiveFn
     bounds: tuple[tuple[float, float], ...]
     params: StaParams
     seeds: tuple[int, ...]
@@ -220,9 +221,11 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
             f"{benchmark.fixed_dim}-dimensional, got --dim {dim}"
         )
 
-    if benchmark is None:
+    if benchmark is not None:
+        objective = benchmark.objective
+    else:
         try:
-            parse_expression(function, dim)
+            objective = parse_expression(function, dim)
         except ExpressionError as err:
             raise CliError(
                 f"unknown function {function!r}: not a registered benchmark "
@@ -271,6 +274,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     config = RunConfig(
         function=function,
         dim=dim,
+        objective=objective,
         bounds=tuple((float(lo), float(hi)) for lo, hi in pairs),
         params=params,
         seeds=seeds,
@@ -283,13 +287,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     except ValueError as err:
         raise CliError(f"malformed bounds: {err}") from err
     return config
-
-
-def resolve_objective(config: RunConfig):
-    try:
-        return get_benchmark(config.function).objective
-    except ValueError:
-        return parse_expression(config.function, config.dim)
 
 
 def _params_document(config: RunConfig) -> dict:
@@ -308,7 +305,6 @@ def _write_text(path: str, text: str) -> None:
 
 def run_command(config: RunConfig) -> int:
     """Execute one run per seed, print summaries, write JSON/CSV outputs."""
-    objective = resolve_objective(config)
     space = config.search_space()
     params_doc = _params_document(config)
 
@@ -316,7 +312,7 @@ def run_command(config: RunConfig) -> int:
     for seed in config.seeds:
         start = time.perf_counter()
         result = sta_run(
-            objective,
+            config.objective,
             space,
             config.params,
             rng=seed,

@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class SearchSpace:
     Parameters
     ----------
     lower, upper : array_like, shape (n,)
-        Finite per-coordinate bounds with ``lower[i] < upper[i]`` strictly,
-        so uniform initialization over the box is well defined.
+        Finite per-coordinate bounds with ``lower[i] < upper[i]`` strictly
+        and a finite width ``upper[i] - lower[i]``, so uniform initialization
+        over the box is well defined.
     """
 
     lower: Array
@@ -61,6 +62,9 @@ class SearchSpace:
                 f"lower bound must be strictly below upper bound "
                 f"(coordinate {bad}: [{lower[bad]}, {upper[bad]}])"
             )
+        with np.errstate(over="ignore"):
+            if not np.isfinite(upper - lower).all():
+                raise ValueError("box width upper - lower overflows to inf")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -82,15 +86,14 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class Solution:
-    """A candidate state and, once evaluated, its objective value."""
+    """An evaluated state: read-only coordinates and their objective value."""
 
     coords: Array
-    fitness: Optional[float] = None
+    fitness: float
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _readonly(self.coords))
-        if self.fitness is not None:
-            object.__setattr__(self, "fitness", float(self.fitness))
+        object.__setattr__(self, "fitness", float(self.fitness))
 
 
 @dataclass(frozen=True)
@@ -205,11 +208,14 @@ def evaluate_batch(objective: ObjectiveFn, rows: Array) -> Array:
     """Objective values for every row of an ``(m, n)`` sample array.
 
     Uses the objective's vectorized form when it advertises
-    ``supports_batch``, otherwise maps the scalar form over rows.
+    ``supports_batch``, otherwise maps the scalar form over rows.  The
+    objective sees a read-only view, so it cannot change the points it is
+    scored on; the caller's array keeps its own flags.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float).view()
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D batch, got shape {rows.shape}")
+    rows.setflags(write=False)
     if getattr(objective, "supports_batch", False):
         values = np.asarray(objective(rows), dtype=float)
         if values.shape != (rows.shape[0],):

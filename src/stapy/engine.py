@@ -94,24 +94,12 @@ def initialize(
 ) -> Solution:
     """Best of ``se`` points drawn coordinate-wise uniformly over the box.
 
-    Raises :class:`EvaluationError` if the objective returns a non-finite
-    value at any initial point; the offending point is named in the message.
+    Selection follows :func:`select_best`: non-finite values are never
+    selected, and :class:`EvaluationError` is raised only when no initial
+    point has a finite value.
     """
-    se = int(se)
-    if se < 1:
-        raise ValueError(f"se must be >= 1, got {se}")
     u = rng.uniform(0.0, 1.0, (se, space.dim))
-    points = space.lower + u * (space.upper - space.lower)
-    values = evaluate_batch(objective, points)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise EvaluationError(
-            f"objective returned non-finite value {values[i]} at initial "
-            f"point {points[i].tolist()}"
-        )
-    g = int(np.argmin(values))
-    return Solution(points[g], float(values[g]))
+    return select_best(objective, space.lower + u * (space.upper - space.lower))
 
 
 def project(batch: Array, space: SearchSpace) -> Array:
@@ -127,17 +115,19 @@ def project(batch: Array, space: SearchSpace) -> Array:
 def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     """Row with the smallest objective value; ties go to the lowest index.
 
-    Non-finite values are treated as +inf and never selected.  Raises
+    This is the one selection rule of the engine, used by :func:`initialize`
+    and by every phase.  Non-finite values are treated as +inf and never
+    selected.  Raises :class:`ValueError` on an empty or non-2-D batch and
     :class:`EvaluationError` when no row evaluates to a finite value.
     """
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[0] < 1:
+    if batch.size == 0:
         raise ValueError(f"batch must be a non-empty 2-D array, got shape {batch.shape}")
     values = evaluate_batch(objective, batch)
     values = np.where(np.isfinite(values), values, np.inf)
     if not np.isfinite(values).any():
         raise EvaluationError(
-            "objective returned no finite value over the whole batch"
+            "objective returned a non-finite value at every point of the batch"
         )
     g = int(np.argmin(values))
     return Solution(batch[g], float(values[g]))
@@ -145,8 +135,6 @@ def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
 
 def greedy_update(incumbent: Solution, candidate: Solution) -> Solution:
     """Keep the candidate only on strict fitness improvement."""
-    if incumbent.fitness is None or candidate.fitness is None:
-        raise ValueError("greedy_update needs both fitnesses set")
     return candidate if candidate.fitness < incumbent.fitness else incumbent
 
 
@@ -172,8 +160,6 @@ def phase(
     improvement.  Returned fitness never exceeds the input fitness and the
     returned coordinates are always feasible.
     """
-    if incumbent.fitness is None:
-        raise ValueError("incumbent fitness must be set before running a phase")
     if kind == "expansion":
         batch = op_expand(incumbent.coords, params.se, params.gamma, rng)
     elif kind == "rotation":
@@ -221,8 +207,9 @@ def sta_run(
     params : StaParams, optional
         Algorithm constants; defaults to :func:`~stapy.core.default_params`.
     rng : RandomSource or int, optional
-        Random source or plain seed (default seed 0).  Pass a fresh source
-        (or just the seed) to make runs reproducible.
+        Random source, or a seed (any integer, numpy integers included) for
+        a fresh one; default seed 0.  Pass a fresh source (or just the seed)
+        to make runs reproducible.
     target_fitness : float, optional
         Convenience early stop, off by default: the loop ends after the first
         iteration whose incumbent fitness is <= this value, truncating the
@@ -234,13 +221,13 @@ def sta_run(
     Raises
     ------
     RunAborted
-        When the objective raises or initialization sees a non-finite value.
-        The exception carries the partial result; the original error is
-        chained as ``__cause__``.
+        When the objective raises or returns an unusable batch, or when no
+        initial point has a finite value.  The exception carries the partial
+        result; the original error is chained as ``__cause__``.
     """
     if params is None:
         params = default_params()
-    if rng is None or isinstance(rng, int):
+    if not isinstance(rng, RandomSource):
         rng = RandomSource(0 if rng is None else rng)
     counting = CallCounter(objective)
 

@@ -83,6 +83,7 @@ def test_search_space_uniform():
         ([], []),  # empty
         ([0.0, -np.inf], [1.0, 1.0]),  # non-finite
         ([0.0, np.nan], [1.0, 1.0]),
+        ([-1e308, -1e308], [1e308, 1e308]),  # width overflows to inf
     ],
 )
 def test_search_space_rejects(lower, upper):
@@ -101,7 +102,6 @@ def test_solution_coords_readonly_and_fitness_float():
     assert sol.fitness == 5.0 and isinstance(sol.fitness, float)
     with pytest.raises(ValueError):
         sol.coords[0] = 9.0
-    assert Solution(np.array([1.0])).fitness is None
 
 
 def test_random_source_seed_validation():
@@ -167,6 +167,19 @@ def test_evaluate_batch_vectorized_objective():
     f.supports_batch = True
     rows = np.arange(6.0).reshape(3, 2)
     assert np.array_equal(evaluate_batch(f, rows), [1.0, 5.0, 9.0])
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_evaluate_batch_passes_read_only_view(batch):
+    def write(x):
+        x[...] = 0.0
+        return np.zeros(len(x)) if batch else 0.0
+
+    write.supports_batch = batch
+    rows = np.ones((3, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        evaluate_batch(write, rows)
+    assert rows.flags.writeable and np.all(rows == 1.0)
 
 
 def test_evaluate_batch_rejects_non_2d():
