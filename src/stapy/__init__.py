@@ -28,7 +28,6 @@ from .core import (
     SearchSpace,
     Solution,
     StaParams,
-    default_params,
     evaluate_batch,
 )
 from .engine import (
@@ -63,7 +62,6 @@ __all__ = [
     "SearchSpace",
     "Solution",
     "StaParams",
-    "default_params",
     "evaluate_batch",
     "get_benchmark",
     "greedy_update",

@@ -112,6 +112,7 @@ def _normalize_argv(argv: Sequence[str]) -> list[str]:
 
 
 def _load_config_file(path: str) -> dict:
+    # Returns the file's settings without its null values, which count as absent.
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -126,7 +127,7 @@ def _load_config_file(path: str) -> dict:
             raise CliError(
                 f"unknown config key {key!r} (known: {', '.join(_CONFIG_KEYS)})"
             )
-    return data
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def _parse_bound_pair(text: str, where: str) -> tuple[float, float]:
@@ -164,42 +165,59 @@ def _read_bounds_file(path: str, dim: int) -> list[tuple[float, float]]:
 
 def _config_bounds(raw, dim: int) -> list[tuple[float, float]]:
     # Accept [lo, hi] (uniform) or [[lo, hi], ...] (per coordinate).
-    if (
-        isinstance(raw, (list, tuple))
-        and len(raw) == 2
-        and all(isinstance(v, (int, float)) for v in raw)
-    ):
-        pair = _parse_bound_pair(f"{raw[0]},{raw[1]}", "in config file")
-        return [pair] * dim
-    if isinstance(raw, (list, tuple)) and all(
-        isinstance(row, (list, tuple)) and len(row) == 2 for row in raw
-    ):
-        pairs = [_parse_bound_pair(f"{row[0]},{row[1]}", "in config file") for row in raw]
-        if len(pairs) != dim:
-            raise CliError(
-                f"dim mismatch: config file bounds list has {len(pairs)} "
-                f"entries, expected {dim}"
-            )
-        return pairs
-    raise CliError("malformed bounds in config file: expected [lo, hi] or [[lo, hi], ...]")
+    uniform = (
+        isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw)
+    )
+    rows = [raw] if uniform else raw
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 2 for r in rows):
+        raise CliError("malformed bounds in config file: expected [lo, hi] or [[lo, hi], ...]")
+    pairs = [_parse_bound_pair(f"{lo},{hi}", "in config file") for lo, hi in rows]
+    if uniform:
+        return pairs * dim
+    if len(pairs) != dim:
+        raise CliError(
+            f"dim mismatch: config file bounds list has {len(pairs)} entries, expected {dim}"
+        )
+    return pairs
 
 
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Resolve flags, config file, and defaults into a validated RunConfig."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_normalize_argv(argv))
+    """Resolve flags, config file, and defaults into a validated RunConfig.
+
+    A config-file value is read exactly like the flag it stands for: it
+    becomes that flag's default as a string (its JSON text unless it is a
+    string), which argparse types with the flag's ``type`` when the flag is
+    not given.  A ``seeds`` list becomes ``--seed`` arguments.
+    """
+    parser = build_parser()
+    argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
     file_cfg = _load_config_file(args.config) if args.config else {}
+    if file_cfg:
+        parser.set_defaults(
+            **{
+                key: value if isinstance(value, str) else json.dumps(value)
+                for key, value in file_cfg.items()
+                if key not in ("bounds", "seeds")
+            }
+        )
+        seeds = file_cfg.get("seeds")
+        if seeds is not None and args.seed is None:
+            if not isinstance(seeds, list) or not seeds:
+                raise CliError(
+                    f"config file {args.config}: seeds must be a non-empty list "
+                    f"of integers, got {seeds!r}"
+                )
+            argv = [f"--seed={json.dumps(s)}" for s in seeds] + argv
+        parser.exit_on_error = False
+        try:
+            args = parser.parse_args(argv)
+        except argparse.ArgumentError as err:
+            raise CliError(f"config file {args.config}: {err}") from None
 
-    def merged(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    function = merged(args.function, "function")
+    function = args.function
     if function is None:
         raise CliError("--function is required (benchmark name or expression)")
-    function = str(function)
 
     benchmark = None
     try:
@@ -207,23 +225,22 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     except ValueError:
         pass
 
-    dim = merged(args.dim, "dim")
-    if dim is None and benchmark is not None and benchmark.fixed_dim is not None:
+    dim = args.dim
+    if dim is None and benchmark is not None:
         dim = benchmark.fixed_dim
     if dim is None:
         raise CliError("--dim is required")
-    dim = int(dim)
     if dim < 1:
         raise CliError(f"--dim must be a positive integer, got {dim}")
-    if benchmark is not None and benchmark.fixed_dim is not None and dim != benchmark.fixed_dim:
-        raise CliError(
-            f"dim mismatch: function {benchmark.name!r} is "
-            f"{benchmark.fixed_dim}-dimensional, got --dim {dim}"
-        )
 
     if benchmark is not None:
+        try:
+            box = benchmark.default_box(dim)
+        except ValueError as err:
+            raise CliError(f"dim mismatch: {err}") from err
         objective = benchmark.objective
     else:
+        box = None
         try:
             objective = parse_expression(function, dim)
         except ExpressionError as err:
@@ -232,55 +249,40 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
                 f"({', '.join(list_benchmarks())}) and not a valid expression ({err})"
             ) from err
 
-    bounds_flag = merged(args.bounds, None)
-    bounds_file = merged(args.bounds_file, None)
-    bounds_cfg = file_cfg.get("bounds")
-    if bounds_flag is not None and bounds_file is not None:
+    if args.bounds is not None and args.bounds_file is not None:
         raise CliError("--bounds and --bounds-file are mutually exclusive")
-    if bounds_flag is not None:
-        pairs = [_parse_bound_pair(bounds_flag, "for --bounds")] * dim
-    elif bounds_file is not None:
-        pairs = _read_bounds_file(bounds_file, dim)
-    elif bounds_cfg is not None:
-        pairs = _config_bounds(bounds_cfg, dim)
-    elif benchmark is not None:
-        box = benchmark.default_box(dim)
+    if args.bounds is not None:
+        pairs = [_parse_bound_pair(args.bounds, "for --bounds")] * dim
+    elif args.bounds_file is not None:
+        pairs = _read_bounds_file(args.bounds_file, dim)
+    elif "bounds" in file_cfg:
+        pairs = _config_bounds(file_cfg["bounds"], dim)
+    elif box is not None:
         pairs = list(zip(box.lower.tolist(), box.upper.tolist()))
     else:
         raise CliError("--bounds or --bounds-file is required for expression objectives")
 
-    overrides = {}
-    for key in _PARAM_KEYS:
-        value = merged(getattr(args, key), key)
-        if value is not None:
-            overrides[key] = value
+    overrides = {k: v for k, v in vars(args).items() if k in _PARAM_KEYS and v is not None}
     try:
         params = StaParams(**overrides)
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise CliError(str(err)) from err
 
-    seeds = args.seed if args.seed is not None else file_cfg.get("seeds")
-    if seeds is None:
-        seeds = [0]
-    try:
-        seeds = tuple(int(s) for s in seeds)
-    except (TypeError, ValueError):
-        raise CliError(f"seeds must be integers, got {seeds!r}") from None
+    seeds = tuple(args.seed or [0])
     for s in seeds:
         if not 0 <= s < 2**64:
             raise CliError(f"seed {s} is outside the unsigned 64-bit range")
 
-    target = merged(args.target_fitness, "target_fitness")
     config = RunConfig(
         function=function,
         dim=dim,
         objective=objective,
-        bounds=tuple((float(lo), float(hi)) for lo, hi in pairs),
+        bounds=tuple(pairs),
         params=params,
         seeds=seeds,
-        target_fitness=None if target is None else float(target),
-        out_json=merged(args.out_json, "out_json"),
-        out_csv=merged(args.out_csv, "out_csv"),
+        target_fitness=args.target_fitness,
+        out_json=args.out_json,
+        out_csv=args.out_csv,
     )
     try:
         config.search_space()
@@ -321,11 +323,15 @@ def run_command(config: RunConfig) -> int:
         runtime_ms = (time.perf_counter() - start) * 1e3
         records.append((seed, result, runtime_ms))
         best_str = "[" + ", ".join(f"{v:.8g}" for v in result.best) + "]"
-        print(
-            f"seed {seed}: fbest={result.fbest!r} "
-            f"evaluations={result.evaluations} runtime={runtime_ms:.1f} ms"
-        )
-        print(f"  best = {best_str}")
+        try:
+            print(f"seed {seed}: fbest={result.fbest!r} evaluations={result.evaluations} "
+                  f"runtime={runtime_ms:.1f} ms\n  best = {best_str}", flush=True)
+        except BrokenPipeError:
+            # A closed stdout costs only the printed lines.  Point it at the
+            # null device so that later prints and the flush at exit pass.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
     outputs = []
     if config.out_json:

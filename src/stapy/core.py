@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
@@ -141,12 +141,6 @@ class StaParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-def default_params() -> StaParams:
-    """The stock parameter set: alpha 1 → 1e-4, beta = gamma = delta = 1,
-    se = 30, fc = 2, and a 1000-iteration budget."""
-    return StaParams()
-
-
 class RandomSource:
     """Seedable stream of the three draw kinds the samplers consume.
 
@@ -244,5 +238,3 @@ class CallCounter:
         self.count += 1 if x.ndim == 1 else x.shape[0]
         return self.objective(x)
 
-
-BoundsLike = Union[Sequence[float], Array]

@@ -34,7 +34,6 @@ from .core import (
     SearchSpace,
     Solution,
     StaParams,
-    default_params,
     evaluate_batch,
 )
 from .operators import op_axes, op_expand, op_rotate, op_translate
@@ -205,7 +204,7 @@ def sta_run(
     space : SearchSpace
         Feasible box.
     params : StaParams, optional
-        Algorithm constants; defaults to :func:`~stapy.core.default_params`.
+        Algorithm constants; defaults to ``StaParams()``.
     rng : RandomSource or int, optional
         Random source, or a seed (any integer, numpy integers included) for
         a fresh one; default seed 0.  Pass a fresh source (or just the seed)
@@ -226,7 +225,7 @@ def sta_run(
         result; the original error is chained as ``__cause__``.
     """
     if params is None:
-        params = default_params()
+        params = StaParams()
     if not isinstance(rng, RandomSource):
         rng = RandomSource(0 if rng is None else rng)
     counting = CallCounter(objective)

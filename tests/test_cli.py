@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: flags, config files, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stapy.cli import main, parse_config
+from stapy.cli import CliError, main, parse_config
 
 
 def run_cli(args, capsys):
@@ -147,6 +151,38 @@ def test_parse_config_rejects_unknown_config_key(tmp_path):
     cfg.write_text(json.dumps({"function": "sphere", "dim": 2, "speed": 11}))
     with pytest.raises(CliError, match="unknown config key 'speed'"):
         parse_config(["--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"dim": "abc"},
+        {"dim": 2.7},
+        {"dim": True},
+        {"target_fitness": "x"},
+        {"seeds": [1.9]},
+        {"seeds": "17"},
+        {"seeds": []},
+    ],
+    ids=["dim-abc", "dim-2.7", "dim-true", "target-x", "seeds-1.9", "seeds-str", "seeds-empty"],
+)
+def test_config_file_value_is_typed_like_its_flag(tmp_path, capsys, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, "iterations": 5, **entry}))
+    with pytest.raises(CliError, match="config file"):
+        parse_config(["--config", str(cfg)])
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, "one-line message"
+
+
+def test_config_file_null_is_absent_and_flags_win(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps({"function": "sphere", "dim": "abc", "se": None, "seeds": [1.9]})
+    )
+    config = parse_config(["--config", str(cfg), "--dim", "3", "--seed", "4"])
+    assert (config.dim, config.params.se, config.seeds) == (3, 30, (4,))
 
 
 # ------------------------------------------------------------------- main
@@ -306,3 +342,28 @@ def test_main_csv_uses_lf_and_full_precision(tmp_path, capsys):
     result = sta_run(sphere, SearchSpace.uniform(2, -100, 100),
                      StaParams(iterations=10), rng=8)
     assert values == list(result.history), "repr round-trip must be lossless"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_loses_only_the_printed_lines(tmp_path, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the process writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stapy", "--function", "griewank", "--dim", "5",
+             "--iterations", "20", "--seed", "1", "--seed", "2",
+             "--out-json", "b.json", "--out-csv", "b.csv"],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b"", "no traceback, no 'Exception ignored' at shutdown"
+    records = json.loads((tmp_path / "b.json").read_text(encoding="utf-8"))
+    assert [r["seed"] for r in records] == [1, 2]
+    assert len((tmp_path / "b.csv").read_text(encoding="utf-8").splitlines()) == 1 + 2 * 20

@@ -12,13 +12,12 @@ from stapy.core import (
     SearchSpace,
     Solution,
     StaParams,
-    default_params,
     evaluate_batch,
 )
 
 
 def test_default_params_values():
-    p = default_params()
+    p = StaParams()
     assert p.alpha_max == 1.0
     assert p.alpha_min == 1e-4
     assert p.beta == 1.0
@@ -30,7 +29,7 @@ def test_default_params_values():
 
 
 def test_params_field_override():
-    p = replace(default_params(), se=50)
+    p = replace(StaParams(), se=50)
     assert p.se == 50
     assert p.alpha_max == 1.0 and p.iterations == 1000
 
