@@ -95,19 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    # argparse rejects "--bounds -5.12,5.12" (comma pairs are not recognized
-    # as negative numbers); splice such values into --flag=value form.
+def _normalize_argv(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
+    # argparse reads a token that starts with "-" as an option unless it is a
+    # plain negative number, so "--bounds -5.12,5.12", "--function -x1^2" or
+    # "--target-fitness -1e-3" would lack a value; join such a value to its
+    # flag as --flag=value unless it is an option itself.
+    options = parser._option_string_actions
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--bounds" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--bounds={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(arg)
-        i += 1
+    for arg in argv:
+        takes_value = out and out[-1] in options and options[out[-1]].nargs != 0
+        if takes_value and arg.startswith("-") and arg.split("=", 1)[0] not in options:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
     return out
 
 
@@ -190,7 +190,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     not given.  A ``seeds`` list becomes ``--seed`` arguments.
     """
     parser = build_parser()
-    argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
+    argv = _normalize_argv(parser, sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     file_cfg = _load_config_file(args.config) if args.config else {}
     if file_cfg:

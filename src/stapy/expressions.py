@@ -4,9 +4,12 @@ The grammar covers ``+ - * / ^``, parentheses, numeric literals, variables
 ``x1 .. xn``, and the functions ``sin cos exp sqrt abs``.  ``^`` is
 right-associative power binding tighter than unary minus, so ``-x1^2`` means
 ``-(x1^2)`` and ``2^-3`` is legal.  Compiled expressions evaluate on single
-points or on ``(m, n)`` batches (``supports_batch``); domain violations such
-as ``sqrt`` of a negative number yield non-finite values rather than raising,
-which the engine treats as never-selected candidates.
+points or on ``(m, n)`` batches (``supports_batch``).  The parser emits the
+whole expression as one ``lambda x: ...`` in numpy, compiled once with empty
+builtins; an expression nested too deeply to compile is rejected.  Domain
+violations such as ``sqrt`` of a negative number or ``1/0`` yield non-finite
+values rather than raising, which the engine treats as never-selected
+candidates.
 """
 
 from __future__ import annotations
@@ -77,9 +80,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive descent over the token stream, emitting evaluator closures.
+    """Recursive descent over the token stream, emitting Python source.
 
-    Each grammar rule returns a function of an ``(..., n)`` float array.
+    Each grammar rule returns source over an ``(..., n)`` float array ``x``;
+    the i-th literal appears as ``c[i]``, with its value in ``constants``.
     """
 
     def __init__(self, text: str, dim: int):
@@ -87,17 +91,18 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
+        self.constants: list[np.float64] = []
 
-    def parse(self) -> Callable[[Array], Array]:
+    def parse(self) -> str:
         if self.tokens[0].kind == "end":
             raise ExpressionError("empty expression", 1)
-        node = self._sum()
+        source = self._sum()
         tok = self._peek()
         if tok.kind != "end":
             raise ExpressionError(
                 f"unexpected {tok.value!r} (missing operator?)", tok.pos
             )
-        return node
+        return source
 
     def _peek(self) -> _Token:
         return self.tokens[self.i]
@@ -114,50 +119,35 @@ class _Parser:
             return tok.value
         return None
 
-    def _sum(self):
-        node = self._product()
-        while (op := self._accept_op("+-")) is not None:
-            rhs = self._product()
-            if op == "+":
-                node = (lambda l, r: lambda x: l(x) + r(x))(node, rhs)
-            else:
-                node = (lambda l, r: lambda x: l(x) - r(x))(node, rhs)
-        return node
+    def _sum(self) -> str:
+        # Python gives * / precedence over + - and associates all four to the
+        # left, as the grammar does, so one loop emits both of its levels.
+        parts = [self._unary()]
+        while (op := self._accept_op("+-*/")) is not None:
+            parts += [op, self._unary()]
+        return " ".join(parts)
 
-    def _product(self):
-        node = self._unary()
-        while (op := self._accept_op("*/")) is not None:
-            rhs = self._unary()
-            if op == "*":
-                node = (lambda l, r: lambda x: l(x) * r(x))(node, rhs)
-            else:
-                node = (lambda l, r: lambda x: l(x) / r(x))(node, rhs)
-        return node
-
-    def _unary(self):
+    def _unary(self) -> str:
         if self._accept_op("+") is not None:
             return self._unary()
         if self._accept_op("-") is not None:
-            child = self._unary()
-            return lambda x: -child(x)
+            return "-" + self._unary()
         return self._power()
 
-    def _power(self):
+    def _power(self) -> str:
         base = self._atom()
         if self._accept_op("^") is not None:
-            exponent = self._unary()
-            return lambda x: np.power(base(x), exponent(x))
+            return f"power({base}, {self._unary()})"
         return base
 
-    def _atom(self):
+    def _atom(self) -> str:
         tok = self._advance()
         if tok.kind == "num":
-            value = tok.value
-            return lambda x: value
+            self.constants.append(np.float64(tok.value))
+            return f"c[{len(self.constants) - 1}]"
         if tok.kind == "name":
             if self._peek().kind == "op" and self._peek().value == "(":
-                fn = _FUNCTIONS.get(tok.value)
-                if fn is None:
+                if tok.value not in _FUNCTIONS:
                     known = ", ".join(sorted(_FUNCTIONS))
                     raise ExpressionError(
                         f"unknown function {tok.value!r} (known: {known})", tok.pos
@@ -165,16 +155,16 @@ class _Parser:
                 self._advance()  # "("
                 arg = self._sum()
                 self._expect_close(tok)
-                return (lambda f, a: lambda x: f(a(x)))(fn, arg)
+                return f"{tok.value}({arg})"
             return self._variable(tok)
         if tok.kind == "op" and tok.value == "(":
-            node = self._sum()
+            source = self._sum()
             self._expect_close(tok)
-            return node
+            return f"({source})"
         what = "end of expression" if tok.kind == "end" else repr(tok.value)
         raise ExpressionError(f"expected a value, found {what}", tok.pos)
 
-    def _variable(self, tok: _Token):
+    def _variable(self, tok: _Token) -> str:
         match = _VARIABLE_RE.match(tok.value)
         if match is None:
             raise ExpressionError(
@@ -185,8 +175,7 @@ class _Parser:
             raise ExpressionError(
                 f"variable x{k} out of range for dimension {self.dim}", tok.pos
             )
-        index = k - 1
-        return lambda x: x[..., index]
+        return f"x[..., {k - 1}]"
 
     def _expect_close(self, opener: _Token):
         if self._accept_op(")") is None:
@@ -231,10 +220,17 @@ def parse_expression(text: str, dim: int) -> CompiledExpression:
     """Compile ``text`` into an objective over variables ``x1..x{dim}``.
 
     Raises :class:`ExpressionError` (with the offending 1-based position) on
-    syntax errors, unknown names, or variable indices beyond ``dim``.
+    syntax errors, unknown names, or variable indices beyond ``dim``, and at
+    position 1 on an expression that nests too deeply to compile.
     """
     dim = int(dim)
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    fn = _Parser(text, dim).parse()
+    parser = _Parser(text, dim)
+    try:
+        source = parser.parse()
+        namespace = {"__builtins__": {}, "c": tuple(parser.constants), "power": np.power}
+        fn = eval(f"lambda x: {source}", namespace | _FUNCTIONS)
+    except (RecursionError, SyntaxError):
+        raise ExpressionError("expression nests too deeply", 1) from None
     return CompiledExpression(text, dim, fn)

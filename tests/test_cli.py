@@ -185,6 +185,27 @@ def test_config_file_null_is_absent_and_flags_win(tmp_path):
     assert (config.dim, config.params.se, config.seeds) == (3, 30, (4,))
 
 
+@pytest.mark.parametrize(
+    "args,field,expected",
+    [
+        (["--function", "-x1^2+x2^2", "--bounds", "-1,1"], "function", "-x1^2+x2^2"),
+        (["--function", "sphere", "--target-fitness", "-1e-3"], "target_fitness", -1e-3),
+        (["--function", "sphere", "--bounds", "-1,1"], "bounds", ((-1.0, 1.0),) * 2),
+    ],
+    ids=["function", "target-fitness", "bounds"],
+)
+def test_flag_value_may_start_with_minus(args, field, expected):
+    config = parse_config(args + ["--dim", "2"])
+    assert getattr(config, field) == expected
+
+
+def test_flag_followed_by_an_option_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        parse_config(["--function", "--dim", "2"])
+    assert info.value.code == 2
+    assert "--function: expected one argument" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- main
 
 
@@ -193,6 +214,14 @@ def test_main_error_exit_code_and_message(capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert err.count("\n") == 1, "one-line message"
+
+
+def test_main_rejects_over_deep_expression_in_one_line(capsys):
+    text = "(" * 400 + "x1" + ")" * 400
+    code, out, err = run_cli(["--function", text, "--dim", "1", "--bounds", "-1,1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, "one-line message"
+    assert "nests too deeply" in err
 
 
 def test_main_prints_summary_and_echoes_seed(capsys):

@@ -284,6 +284,13 @@ def test_sta_run_survives_non_finite_initial_points():
     assert result.best[0] >= 0
 
 
+def test_sta_run_with_division_by_zero_in_expression():
+    """1/0 is inf and 1/inf is 0, under the same rule as other non-finite values."""
+    f = parse_expression("x1^2 + 1/(1/0)", 1)
+    result = sta_run(f, SearchSpace.uniform(1, -1.0, 1.0), StaParams(iterations=20), rng=0)
+    assert np.isfinite(result.fbest) and result.fbest == f(result.best)
+
+
 def test_sta_run_aborts_when_objective_writes_its_input():
     def shrink(x):
         x[...] = 0.9 * x

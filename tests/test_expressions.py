@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stapy.benchmarks import paper_quadratic
+from stapy.benchmarks import paper_quadratic, rastrigin
 from stapy.core import RandomSource
 from stapy.expressions import ExpressionError, parse_expression
 
@@ -94,6 +94,76 @@ def test_domain_violations_yield_non_finite_not_raise():
     assert np.isnan(f(np.array([-1.0])))
     g = parse_expression("1/x1", 1)
     assert not np.isfinite(g(np.array([0.0])))
+
+
+def test_division_by_zero_is_non_finite_not_raise():
+    f = parse_expression("x1 + 1/0", 1)
+    assert f(np.array([2.0])) == np.inf
+    assert np.all(f(np.zeros((3, 1))) == np.inf)
+    assert np.isnan(parse_expression("0/0", 1)(np.zeros(1)))
+
+
+@pytest.mark.parametrize(
+    "text,oracle",
+    [
+        ("10-4-3", lambda x: np.float64(10.0) - 4.0 - 3.0),
+        ("24/4/2", lambda x: np.float64(24.0) / 4.0 / 2.0),
+        ("2^3^2", lambda x: np.power(2.0, np.power(3.0, 2.0))),
+        ("-x1^2", lambda x: -np.power(x[..., 0], 2.0)),
+        ("2^-3", lambda x: np.power(2.0, -3.0)),
+        ("--x1", lambda x: -(-x[..., 0])),
+        ("sin(x1)*exp(-x2^2)/(1+abs(x2))",
+         lambda x: np.sin(x[..., 0]) * np.exp(-np.power(x[..., 1], 2.0))
+         / (1.0 + np.abs(x[..., 1]))),
+        ("3.5", lambda x: np.float64(3.5)),
+    ],
+)
+def test_compiled_form_equals_numpy_in_the_same_order(text, oracle):
+    f = parse_expression(text, 2)
+    rows = RandomSource(11).uniform(-2.0, 2.0, (50, 2))
+    assert np.array_equal(f(rows), np.broadcast_to(oracle(rows), (50,)))
+    assert f(rows[0]) == oracle(rows[0])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['__import__("os")', "x1.real", "x1[0]", "x1 ** 2", "x1 // 2", "x1, x2", "lambda: 1"],
+)
+def test_python_syntax_is_rejected(text):
+    with pytest.raises(ExpressionError):
+        parse_expression(text, 2)
+
+
+def test_compiled_function_sees_only_fixed_names_and_no_builtins():
+    f = parse_expression("sqrt(abs(x1)) + 2^sin(x2) - exp(cos(x1))/3", 2)
+    assert f._fn.__globals__["__builtins__"] == {}
+    assert set(f._fn.__code__.co_names) <= {"c", "power", "sin", "cos", "exp", "sqrt", "abs"}
+
+
+def test_500_dimensional_expression_evaluates():
+    """One term per coordinate; evaluation does not recurse over the terms."""
+    shift = RandomSource(3).uniform(-2.0, 2.0, 500)
+    text = "5000.0" + "".join(
+        f" + (x{i}-{o!r})^2 - 10*cos(6.283185307179586*(x{i}-{o!r}))"
+        for i, o in enumerate(shift.tolist(), start=1)
+    )
+    f = parse_expression(text, 500)
+    rows = RandomSource(4).uniform(-5.12, 5.12, (8, 500))
+    assert f(rows) == pytest.approx(rastrigin(rows - shift), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("(" * 400 + "x1" + ")" * 400, 1.5), ("+".join(["x1"] * 100_000), 150_000.0)],
+    ids=["400-parentheses", "100000-terms"],
+)
+def test_deep_expression_compiles_or_raises_expression_error(text, value):
+    try:
+        f = parse_expression(text, 1)
+    except ExpressionError as err:
+        assert "nests too deeply" in str(err)
+    else:
+        assert f(np.array([1.5])) == value
 
 
 def test_wrong_arity_point_rejected():
