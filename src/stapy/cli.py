@@ -244,8 +244,11 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         try:
             objective = parse_expression(function, dim)
         except ExpressionError as err:
+            start = max(0, min(err.position - 40, len(function) - 80))
+            shown = ("..." if start else "") + function[start:start + 80]
+            shown += "..." if start + 80 < len(function) else ""
             raise CliError(
-                f"unknown function {function!r}: not a registered benchmark "
+                f"unknown function {shown!r}: not a registered benchmark "
                 f"({', '.join(list_benchmarks())}) and not a valid expression ({err})"
             ) from err
 

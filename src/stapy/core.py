@@ -98,7 +98,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class StaParams:
-    """Algorithm constants.
+    """Algorithm constants, all finite.
 
     ``alpha_max``/``alpha_min`` bracket the annealed rotation radius, ``beta``
     is the translation step cap, ``gamma`` and ``delta`` scale the expansion
@@ -119,11 +119,14 @@ class StaParams:
 
     def __post_init__(self):
         for name in ("alpha_max", "alpha_min", "beta", "gamma", "delta", "fc"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         for name in ("se", "iterations"):
             value = getattr(self, name)
-            if int(value) != value:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not (abs(value) < np.inf and int(value) == value):
+                raise ValueError(f"{name} must be a finite integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not 0.0 < self.alpha_min <= self.alpha_max:
             raise ValueError(

@@ -12,10 +12,11 @@ Conceptually every sampler is one instance of the linear update
 never appears at runtime, only its four concrete instances from
 :mod:`stapy.operators`.
 
-Raw out-of-box samples are never evaluated: projection happens before every
-fitness call.  The incumbent's fitness is cached in its
+Raw out-of-box samples are never evaluated: projection clamps them in place
+before every fitness call.  The incumbent's fitness is cached in its
 :class:`~stapy.core.Solution`, so a phase costs exactly ``se`` evaluations,
-plus ``se`` more if its translation fires.
+plus ``se`` more if its translation fires.  Non-finite values follow one
+rule: they count as +inf, and +inf never wins a strict comparison.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ PHASE_ORDER: tuple[PhaseKind, ...] = ("expansion", "rotation", "axesion")
 
 
 class EvaluationError(RuntimeError):
-    """The objective produced no usable value where one was required."""
+    """No initial point has a finite value; raised only at initialization."""
 
 
 class RunAborted(RuntimeError):
@@ -93,41 +94,37 @@ def initialize(
 ) -> Solution:
     """Best of ``se`` points drawn coordinate-wise uniformly over the box.
 
-    Selection follows :func:`select_best`: non-finite values are never
-    selected, and :class:`EvaluationError` is raised only when no initial
-    point has a finite value.
+    Selection follows :func:`select_best`.  The only place the engine raises
+    :class:`EvaluationError`: when no initial point has a finite value.
     """
     u = rng.uniform(0.0, 1.0, (se, space.dim))
-    return select_best(objective, space.lower + u * (space.upper - space.lower))
+    best = select_best(objective, space.lower + u * (space.upper - space.lower))
+    if best.fitness == np.inf:
+        raise EvaluationError("objective is non-finite at every initial point")
+    return best
 
 
 def project(batch: Array, space: SearchSpace) -> Array:
-    """Clamp every sample coordinate-wise into the box (a new array)."""
+    """Clamp every sample into the box in place (a non-float input is copied first)."""
     batch = np.asarray(batch, dtype=float)
     if batch.shape[-1] != space.dim:
-        raise ValueError(
-            f"batch rows have length {batch.shape[-1]}, space has dim {space.dim}"
-        )
-    return np.clip(batch, space.lower, space.upper)
+        raise ValueError(f"batch rows have length {batch.shape[-1]}, space has dim {space.dim}")
+    return np.clip(batch, space.lower, space.upper, out=batch)
 
 
 def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     """Row with the smallest objective value; ties go to the lowest index.
 
     This is the one selection rule of the engine, used by :func:`initialize`
-    and by every phase.  Non-finite values are treated as +inf and never
-    selected.  Raises :class:`ValueError` on an empty or non-2-D batch and
-    :class:`EvaluationError` when no row evaluates to a finite value.
+    and by every phase.  A non-finite value counts as +inf, which never wins,
+    so a batch with no finite value gives row 0 at fitness ``inf``.  Raises
+    :class:`ValueError` on an empty or non-2-D batch.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.size == 0:
         raise ValueError(f"batch must be a non-empty 2-D array, got shape {batch.shape}")
     values = evaluate_batch(objective, batch)
     values = np.where(np.isfinite(values), values, np.inf)
-    if not np.isfinite(values).any():
-        raise EvaluationError(
-            "objective returned a non-finite value at every point of the batch"
-        )
     g = int(np.argmin(values))
     return Solution(batch[g], float(values[g]))
 
@@ -155,9 +152,9 @@ def phase(
 
     ``alpha`` is the current annealed rotation radius and defaults to
     ``params.alpha_max``; it is ignored unless ``kind == "rotation"``.  A
-    batch on which the objective has no finite value counts as no
-    improvement.  Returned fitness never exceeds the input fitness and the
-    returned coordinates are always feasible.
+    batch with no finite value has fitness ``inf`` and never improves.
+    Returned fitness never exceeds the input fitness and the returned
+    coordinates are always feasible.
     """
     if kind == "expansion":
         batch = op_expand(incumbent.coords, params.se, params.gamma, rng)
@@ -169,20 +166,14 @@ def phase(
     else:
         raise ValueError(f"unknown phase kind {kind!r}")
 
-    try:
-        candidate = select_best(objective, project(batch, space))
-    except EvaluationError:
-        return incumbent
+    candidate = select_best(objective, project(batch, space))
     if not candidate.fitness < incumbent.fitness:
         return incumbent
 
     chase = op_translate(
         incumbent.coords, candidate.coords, params.se, params.beta, rng
     )
-    try:
-        chased = select_best(objective, project(chase, space))
-    except EvaluationError:
-        return candidate
+    chased = select_best(objective, project(chase, space))
     return greedy_update(candidate, chased)
 
 
@@ -249,8 +240,10 @@ def sta_run(
         for iteration in range(1, params.iterations + 1):
             if alpha < params.alpha_min:
                 alpha = params.alpha_max
+            incumbent = best  # ``best`` moves once per iteration, in step with history
             for kind in PHASE_ORDER:
-                best = phase(kind, counting, space, best, params, rng, alpha=alpha)
+                incumbent = phase(kind, counting, space, incumbent, params, rng, alpha=alpha)
+            best = incumbent
             history.append(best.fitness)
             if observer is not None:
                 observer(RunState(best, alpha, iteration, counting.count))

@@ -112,6 +112,7 @@ def test_parse_config_expression_function():
         (["--function", "x1+x2", "--dim", "2"], "--bounds or --bounds-file"),
         (["--function", "sphere", "--dim", "2", "--se", "0"], "se"),
         (["--function", "sphere", "--dim", "2", "--seed", "-1"], "seed"),
+        (["--function", "sphere", "--dim", "2", "--gamma", "inf"], "gamma"),
     ],
 )
 def test_parse_config_actionable_errors(args, needle):
@@ -222,6 +223,25 @@ def test_main_rejects_over_deep_expression_in_one_line(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, "one-line message"
     assert "nests too deeply" in err
+
+
+def test_main_caps_the_echoed_expression_around_the_error(capsys):
+    text = "+".join(["x1"] * 2000) + "+)"
+    code, out, err = run_cli(["--function", text, "--dim", "1", "--bounds", "-1,1"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 400, "one short line"
+    assert f"at position {len(text)}" in err
+    assert "'...+x1+x1" in err and "+x1+)'" in err, "the tail is shown, the head elided"
+
+
+def test_main_runs_an_iteration_budget_beyond_float_range(capsys):
+    code, out, err = run_cli(
+        ["--function", "sphere", "--dim", "2", "--iterations", "1" + "0" * 309,
+         "--target-fitness", "1"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert out.startswith("seed 0: fbest=")
 
 
 def test_main_prints_summary_and_echoes_seed(capsys):

@@ -48,6 +48,12 @@ def test_params_field_override():
         {"fc": 1.0},
         {"fc": 0.5},
         {"iterations": 0},
+        {"gamma": np.inf},
+        {"beta": np.inf},
+        {"fc": np.inf},
+        {"alpha_min": np.inf, "alpha_max": np.inf},
+        {"se": np.inf},
+        {"iterations": np.nan},
     ],
 )
 def test_params_validation_rejects(kwargs):
@@ -57,6 +63,10 @@ def test_params_validation_rejects(kwargs):
 
 def test_params_se_one_is_legal():
     assert StaParams(se=1).se == 1
+
+
+def test_params_accepts_an_integer_beyond_float_range():
+    assert StaParams(iterations=10**309).iterations == 10**309
 
 
 def test_search_space_basic():

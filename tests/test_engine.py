@@ -85,16 +85,18 @@ def test_project_clamps_to_rastrigin_box():
 def test_project_identity_inside_and_on_bounds():
     space = SearchSpace.uniform(2, -1.0, 1.0)
     rows = np.array([[0.3, -0.4], [1.0, -1.0]])
-    assert np.array_equal(project(rows, space), rows)
+    assert np.array_equal(project(rows, space), [[0.3, -0.4], [1.0, -1.0]])
 
 
-def test_project_returns_new_array_and_checks_dim():
+def test_project_clamps_in_place_and_checks_dim():
     space = SearchSpace.uniform(2, -1.0, 1.0)
     rows = np.array([[5.0, 5.0]])
     out = project(rows, space)
-    assert out is not rows and rows[0, 0] == 5.0
+    assert out is rows and rows[0, 0] == 1.0
     with pytest.raises(ValueError):
         project(np.zeros((3, 4)), space)
+    with pytest.raises(ValueError, match="dim 1"):  # numpy would broadcast a 1-D box's bound
+        project(np.zeros((3, 4)), SearchSpace.uniform(1, -1.0, 1.0))
 
 
 # ------------------------------------------------------------ select_best
@@ -124,9 +126,12 @@ def test_select_best_ignores_non_finite():
     assert sol.fitness == 3.0
 
 
-def test_select_best_all_non_finite_raises():
-    with pytest.raises(EvaluationError):
-        select_best(lambda x: float("nan"), np.zeros((4, 2)))
+def test_select_best_all_non_finite_gives_row_zero_at_inf():
+    values = iter([np.nan, np.inf, -np.inf, np.nan])
+    batch = np.arange(8.0).reshape(4, 2)
+    sol = select_best(lambda x: next(values), batch)
+    assert sol.fitness == np.inf
+    assert np.array_equal(sol.coords, batch[0])
 
 
 def test_select_best_equals_exhaustive_scan():
@@ -229,6 +234,25 @@ def test_phase_all_non_finite_batch_counts_as_no_improvement():
         "expansion", nan_away_from_home, space, incumbent, StaParams(se=5), rng(1)
     )
     assert out is incumbent, "an all-non-finite batch must not dethrone the incumbent"
+
+
+def test_phase_non_finite_translation_batch_keeps_the_candidate():
+    """Translation fires, finds no finite value, and the candidate stands."""
+    space = SearchSpace.uniform(2, -5.0, 5.0)
+    params = StaParams(se=30)
+    seen = []
+
+    def finite_then_nan(x):
+        seen.append((np.array(x), float(sphere(x))))
+        return seen[-1][1] if len(seen) <= params.se else float("nan")
+
+    counting = CallCounter(finite_then_nan)
+    incumbent = Solution(np.array([1.0, 1.0]), 2.0)
+    out = phase("rotation", counting, space, incumbent, params, rng(4), alpha=1.0)
+    assert counting.count == 2 * params.se
+    coords, fitness = min(seen[: params.se], key=lambda pair: pair[1])
+    assert out.fitness == fitness < incumbent.fitness
+    assert np.array_equal(out.coords, coords)
 
 
 # ---------------------------------------------------------------- sta_run
@@ -356,6 +380,24 @@ def test_sta_run_abort_carries_partial_history():
     assert 0 < len(partial.history) < 50
     assert np.all(np.diff(partial.history) <= 0.0)
     assert isinstance(info.value.__cause__, RuntimeError)
+
+
+def test_sta_run_abort_partial_best_belongs_to_its_history():
+    """An abort in mid-iteration reports the best of the last whole iteration."""
+    space = SearchSpace.uniform(2, -5.0, 5.0)
+    for budget in range(100, 400, 7):
+
+        def flaky(x):
+            if counting.count > budget:
+                raise RuntimeError("backend went away")
+            return sphere(x)
+
+        counting = CallCounter(flaky)
+        with pytest.raises(RunAborted) as info:
+            sta_run(counting, space, StaParams(se=5, iterations=20), rng=1)
+        partial = info.value.partial
+        assert len(partial.history) >= 1
+        assert partial.fbest == partial.history[-1] == sphere(partial.best)
 
 
 def test_sta_run_abort_during_initialization_has_no_partial():

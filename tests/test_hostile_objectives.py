@@ -1,0 +1,106 @@
+"""The run contract under hostile objectives and boxes near the float limits.
+
+Objectives return NaN, +inf or -inf on islands keyed deterministically on
+the point, and may raise after a drawn share of the run's largest evaluation budget.  Whatever
+happens, a returned result (or the partial result of an aborted run) has a
+non-increasing history, a finite and feasible best with
+``fbest == history[-1] == f(best)``, and, when the run completes, an exact
+evaluation count.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stapy.core import CallCounter, SearchSpace, StaParams
+from stapy.engine import EvaluationError, RunAborted, sta_run
+
+LIMIT = 1.79e308
+
+
+class BackendError(RuntimeError):
+    pass
+
+
+def islands(space, center, nan_p, pinf_p, minf_p):
+    """Max-norm distance to ``center``, replaced by NaN, +inf or -inf on the
+    cells of an 8-per-axis grid that a fixed hash assigns to each.
+
+    The distance never overflows inside a box of finite width, and every
+    step is elementwise or exact, so a point gets the same value alone as in
+    a batch.
+    """
+    digits = 9.0 ** np.arange(space.dim)
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        value = np.max(np.abs(0.5 * x - 0.5 * center), axis=-1)
+        cell = np.floor(8.0 * (x - space.lower) / (space.upper - space.lower))
+        key = (np.sin(1.0 + np.sum(cell * digits, axis=-1)) * 43758.5453) % 1.0
+        value = np.where(key < nan_p, np.nan, value)
+        value = np.where((key >= nan_p) & (key < nan_p + pinf_p), np.inf, value)
+        lo = nan_p + pinf_p
+        return np.where((key >= lo) & (key < lo + minf_p), -np.inf, value)
+
+    return f
+
+
+@st.composite
+def boxes(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        lower = draw(st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim))
+        width = draw(st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim))
+        return SearchSpace(np.array(lower), np.array(lower) + np.array(width))
+    # Finite-width boxes with one bound near +-1e308.
+    near = np.array(draw(st.lists(st.floats(1e307, LIMIT), min_size=dim, max_size=dim)))
+    ratio = np.array(draw(st.lists(st.floats(0.0, 0.99), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        return SearchSpace(near * ratio, near)
+    return SearchSpace(-near, -near * ratio)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    space=boxes(),
+    where=st.floats(0.0, 1.0),
+    nan_p=st.floats(0.0, 0.4),
+    pinf_p=st.floats(0.0, 0.3),
+    minf_p=st.floats(0.0, 0.3),
+    raise_at=st.floats(0.0, 1.5),
+    batch=st.booleans(),
+    se=st.integers(min_value=1, max_value=8),
+    iterations=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_run_contract_holds_for_hostile_objectives(
+    space, where, nan_p, pinf_p, minf_p, raise_at, batch, se, iterations, seed
+):
+    # A run costs at most se evaluations to start and 6 * se per iteration,
+    # so a share above 1 never raises.
+    raise_after = raise_at * se * (1 + 6 * iterations)
+    f = islands(space, space.lower + where * (space.upper - space.lower), nan_p, pinf_p, minf_p)
+
+    def objective(x):
+        if counting.count > raise_after:
+            raise BackendError("the objective went away")
+        return f(x) if batch else float(f(x))
+
+    objective.supports_batch = batch
+    counting = CallCounter(objective)
+    with np.errstate(all="ignore"):
+        try:
+            result = sta_run(counting, space, StaParams(se=se, iterations=iterations), rng=seed)
+        except RunAborted as err:
+            assert isinstance(err.__cause__, (BackendError, EvaluationError))
+            result = err.partial
+        else:
+            assert result.evaluations == counting.count
+            assert len(result.history) == iterations
+        if result is None:
+            return
+        assert np.all(np.diff(result.history) <= 0.0)
+        assert np.isfinite(result.best).all() and space.contains(result.best)
+        assert np.isfinite(result.fbest) and result.fbest == float(f(result.best))
+        if len(result.history):
+            assert result.fbest == result.history[-1]
