@@ -2,13 +2,16 @@
 
 All functions accept a single point of shape ``(n,)`` or a batch of shape
 ``(m, n)`` and reduce over the last axis, so they plug directly into the
-engine's vectorized evaluation path (``supports_batch``).
+engine's vectorized evaluation path (``supports_batch``).  Each
+:class:`BenchmarkSpec` states its box and argmin as plain values, which
+:meth:`~BenchmarkSpec.default_box` and :meth:`~BenchmarkSpec.reference_argmin`
+spread over the requested dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -76,78 +79,61 @@ for _f in (sphere, rosenbrock, rastrigin, griewank, paper_quadratic):
 del _f
 
 
+_Bound = Union[float, tuple[float, ...]]
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """A named objective, its customary box, and its reference optimum."""
+    """A named objective, its customary box, and its known global optimum.
+
+    ``lower``, ``upper`` and ``argmin`` are each a scalar, repeated over any
+    dimension, or a tuple with one value per coordinate, whose length fixes
+    the dimension (:attr:`fixed_dim`).
+    """
 
     name: str
     objective: Callable[[Array], float]
-    make_box: Callable[[int], SearchSpace]
+    lower: _Bound
+    upper: _Bound
     reference_optimum: float
-    make_argmin: Optional[Callable[[int], Array]] = None
-    fixed_dim: Optional[int] = None
+    argmin: _Bound
+
+    @property
+    def fixed_dim(self) -> Optional[int]:
+        """The only dimension the box allows, or None if it fits any."""
+        return len(self.lower) if isinstance(self.lower, tuple) else None
 
     def default_box(self, dim: int) -> SearchSpace:
-        dim = self._resolve_dim(dim)
-        return self.make_box(dim)
+        return SearchSpace(self._values(self.lower, dim), self._values(self.upper, dim))
 
-    def reference_argmin(self, dim: int) -> Optional[Array]:
-        """Known global argmin on the default box, or None if unknown."""
-        if self.make_argmin is None:
-            return None
-        return self.make_argmin(self._resolve_dim(dim))
+    def reference_argmin(self, dim: int) -> Array:
+        """Known global argmin on the default box."""
+        return self._values(self.argmin, dim)
 
-    def _resolve_dim(self, dim: int) -> int:
+    def _values(self, value: _Bound, dim: int) -> Array:
         dim = int(dim)
-        if self.fixed_dim is not None and dim != self.fixed_dim:
+        if self.fixed_dim not in (None, dim):
             raise ValueError(
                 f"benchmark {self.name!r} is fixed to dim {self.fixed_dim}, got {dim}"
             )
-        return dim
-
-
-def _quadratic_box(dim: int) -> SearchSpace:
-    return SearchSpace(np.array([-3.0, -2.0, -1.0]), np.array([3.0, 2.0, 1.0]))
+        return np.full(dim, value, dtype=float)
 
 
 _REGISTRY: dict[str, BenchmarkSpec] = {
     spec.name: spec
     for spec in (
+        # name, objective, lower, upper, reference_optimum, argmin
+        BenchmarkSpec("sphere", sphere, -100.0, 100.0, 0.0, 0.0),
+        BenchmarkSpec("rosenbrock", rosenbrock, -5.0, 10.0, 0.0, 1.0),
+        BenchmarkSpec("rastrigin", rastrigin, -5.12, 5.12, 0.0, 0.0),
+        BenchmarkSpec("griewank", griewank, -600.0, 600.0, 0.0, 0.0),
         BenchmarkSpec(
-            name="sphere",
-            objective=sphere,
-            make_box=lambda dim: SearchSpace.uniform(dim, -100.0, 100.0),
-            reference_optimum=0.0,
-            make_argmin=lambda dim: np.zeros(dim),
-        ),
-        BenchmarkSpec(
-            name="rosenbrock",
-            objective=rosenbrock,
-            make_box=lambda dim: SearchSpace.uniform(dim, -5.0, 10.0),
-            reference_optimum=0.0,
-            make_argmin=lambda dim: np.ones(dim),
-        ),
-        BenchmarkSpec(
-            name="rastrigin",
-            objective=rastrigin,
-            make_box=lambda dim: SearchSpace.uniform(dim, -5.12, 5.12),
-            reference_optimum=0.0,
-            make_argmin=lambda dim: np.zeros(dim),
-        ),
-        BenchmarkSpec(
-            name="griewank",
-            objective=griewank,
-            make_box=lambda dim: SearchSpace.uniform(dim, -600.0, 600.0),
-            reference_optimum=0.0,
-            make_argmin=lambda dim: np.zeros(dim),
-        ),
-        BenchmarkSpec(
-            name="paper_quadratic",
-            objective=paper_quadratic,
-            make_box=_quadratic_box,
-            reference_optimum=1150.0 / 2116.0,
-            make_argmin=lambda dim: np.array([8.0 / 23.0, 17.0 / 46.0, 1.0]),
-            fixed_dim=3,
+            "paper_quadratic",
+            paper_quadratic,
+            (-3.0, -2.0, -1.0),
+            (3.0, 2.0, 1.0),
+            1150.0 / 2116.0,
+            (8.0 / 23.0, 17.0 / 46.0, 1.0),
         ),
     )
 }

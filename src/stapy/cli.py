@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,22 +31,16 @@ class CliError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     function: str
-    dim: int
     objective: ObjectiveFn
-    bounds: tuple[tuple[float, float], ...]
+    space: SearchSpace
     params: StaParams
     seeds: tuple[int, ...]
     target_fitness: Optional[float]
     out_json: Optional[str]
     out_csv: Optional[str]
 
-    def search_space(self) -> SearchSpace:
-        lower = np.array([b[0] for b in self.bounds])
-        upper = np.array([b[1] for b in self.bounds])
-        return SearchSpace(lower, upper)
 
-
-_PARAM_KEYS = ("alpha_max", "alpha_min", "beta", "gamma", "delta", "se", "fc", "iterations")
+_PARAM_KEYS = tuple(f.name for f in fields(StaParams))
 _CONFIG_KEYS = ("function", "dim", "bounds", "seeds", "target_fitness", "out_json", "out_csv") + _PARAM_KEYS
 
 
@@ -240,7 +234,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
             raise CliError(f"dim mismatch: {err}") from err
         objective = benchmark.objective
     else:
-        box = None
         try:
             objective = parse_expression(function, dim)
         except ExpressionError as err:
@@ -260,10 +253,14 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         pairs = _read_bounds_file(args.bounds_file, dim)
     elif "bounds" in file_cfg:
         pairs = _config_bounds(file_cfg["bounds"], dim)
-    elif box is not None:
-        pairs = list(zip(box.lower.tolist(), box.upper.tolist()))
+    elif benchmark is not None:
+        pairs = list(zip(box.lower, box.upper))
     else:
         raise CliError("--bounds or --bounds-file is required for expression objectives")
+    try:
+        space = SearchSpace(*np.array(pairs, dtype=float).T)
+    except ValueError as err:
+        raise CliError(f"malformed bounds: {err}") from err
 
     overrides = {k: v for k, v in vars(args).items() if k in _PARAM_KEYS and v is not None}
     try:
@@ -276,29 +273,23 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         if not 0 <= s < 2**64:
             raise CliError(f"seed {s} is outside the unsigned 64-bit range")
 
-    config = RunConfig(
+    return RunConfig(
         function=function,
-        dim=dim,
         objective=objective,
-        bounds=tuple(pairs),
+        space=space,
         params=params,
         seeds=seeds,
         target_fitness=args.target_fitness,
         out_json=args.out_json,
         out_csv=args.out_csv,
     )
-    try:
-        config.search_space()
-    except ValueError as err:
-        raise CliError(f"malformed bounds: {err}") from err
-    return config
 
 
 def _params_document(config: RunConfig) -> dict:
-    doc = {"function": config.function, "dim": config.dim}
-    doc["bounds"] = [[lo, hi] for lo, hi in config.bounds]
-    for key in _PARAM_KEYS:
-        doc[key] = getattr(config.params, key)
+    space = config.space
+    doc = {"function": config.function, "dim": space.dim}
+    doc["bounds"] = np.column_stack((space.lower, space.upper)).tolist()
+    doc.update(asdict(config.params))
     doc["target_fitness"] = config.target_fitness
     return doc
 
@@ -310,7 +301,6 @@ def _write_text(path: str, text: str) -> None:
 
 def run_command(config: RunConfig) -> int:
     """Execute one run per seed, print summaries, write JSON/CSV outputs."""
-    space = config.search_space()
     params_doc = _params_document(config)
 
     records = []
@@ -318,7 +308,7 @@ def run_command(config: RunConfig) -> int:
         start = time.perf_counter()
         result = sta_run(
             config.objective,
-            space,
+            config.space,
             config.params,
             rng=seed,
             target_fitness=config.target_fitness,

@@ -9,6 +9,7 @@ Conventions used throughout the package:
   it also accepts an ``(m, n)`` array and returns ``m`` values; this is pure
   sugar with semantics identical to mapping the scalar form over the rows.
   Objectives are expected to be deterministic and finite inside the box.
+* Types that hold arrays compare and hash by identity; compare the arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _readonly(values, dtype=float) -> Array:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchSpace:
     """Axis-aligned box of feasible solutions.
 
@@ -84,7 +85,7 @@ class SearchSpace:
         return bool((x >= self.lower).all() and (x <= self.upper).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """An evaluated state: read-only coordinates and their objective value."""
 
@@ -177,7 +178,7 @@ class RandomSource:
         return f"{type(self).__name__}(seed={self.seed})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Outcome of one optimization run.
 

@@ -13,10 +13,11 @@ never appears at runtime, only its four concrete instances from
 :mod:`stapy.operators`.
 
 Raw out-of-box samples are never evaluated: projection clamps them in place
-before every fitness call.  The incumbent's fitness is cached in its
-:class:`~stapy.core.Solution`, so a phase costs exactly ``se`` evaluations,
-plus ``se`` more if its translation fires.  Non-finite values follow one
-rule: they count as +inf, and +inf never wins a strict comparison.
+before every fitness call, a NaN coordinate to its lower bound.  The
+incumbent's fitness is cached in its :class:`~stapy.core.Solution`, so a
+phase costs exactly ``se`` evaluations, plus ``se`` more if its translation
+fires.  Non-finite values follow one rule: they count as +inf, and +inf
+never wins a strict comparison.
 """
 
 from __future__ import annotations
@@ -105,11 +106,15 @@ def initialize(
 
 
 def project(batch: Array, space: SearchSpace) -> Array:
-    """Clamp every sample into the box in place (a non-float input is copied first)."""
+    """Clamp every sample into the box in place (a non-float input is copied first).
+
+    A NaN coordinate goes to its lower bound, so no sample leaves the box.
+    """
     batch = np.asarray(batch, dtype=float)
     if batch.shape[-1] != space.dim:
         raise ValueError(f"batch rows have length {batch.shape[-1]}, space has dim {space.dim}")
-    return np.clip(batch, space.lower, space.upper, out=batch)
+    np.fmax(batch, space.lower, out=batch)
+    return np.fmin(batch, space.upper, out=batch)
 
 
 def select_best(objective: ObjectiveFn, batch: Array) -> Solution:

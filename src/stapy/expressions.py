@@ -31,7 +31,7 @@ _FUNCTIONS: dict[str, Callable] = {
     "abs": np.abs,
 }
 
-_VARIABLE_RE = re.compile(r"^x(\d+)$")
+_VARIABLE_RE = re.compile(r"^x0*(\d+)$")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -47,12 +47,17 @@ class ExpressionError(ValueError):
         self.position = position
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for a message, cut to 20 characters with ``...``."""
+    return repr(text if len(text) <= 20 else text[:20] + "...")
+
+
 class _Token:
     __slots__ = ("kind", "value", "pos")
 
-    def __init__(self, kind: str, value, pos: int):
+    def __init__(self, kind: str, value: Optional[str], pos: int):
         self.kind = kind  # "num" | "name" | "op" | "end"
-        self.value = value
+        self.value = value  # the token's text, None at the end
         self.pos = pos  # 1-based column
 
 
@@ -69,11 +74,7 @@ def _tokenize(text: str) -> list[_Token]:
             col = i + (len(text[i:]) - len(rest)) + 1
             raise ExpressionError(f"unexpected character {rest[0]!r}", col)
         kind = match.lastgroup
-        value = match.group(kind)
-        pos = match.start(kind) + 1
-        if kind == "num":
-            value = float(value)
-        tokens.append(_Token(kind, value, pos))
+        tokens.append(_Token(kind, match.group(kind), match.start(kind) + 1))
         i = match.end()
     tokens.append(_Token("end", None, len(text) + 1))
     return tokens
@@ -100,7 +101,7 @@ class _Parser:
         tok = self._peek()
         if tok.kind != "end":
             raise ExpressionError(
-                f"unexpected {tok.value!r} (missing operator?)", tok.pos
+                f"unexpected {_quoted(tok.value)} (missing operator?)", tok.pos
             )
         return source
 
@@ -150,7 +151,7 @@ class _Parser:
                 if tok.value not in _FUNCTIONS:
                     known = ", ".join(sorted(_FUNCTIONS))
                     raise ExpressionError(
-                        f"unknown function {tok.value!r} (known: {known})", tok.pos
+                        f"unknown function {_quoted(tok.value)} (known: {known})", tok.pos
                     )
                 self._advance()  # "("
                 arg = self._sum()
@@ -161,19 +162,20 @@ class _Parser:
             source = self._sum()
             self._expect_close(tok)
             return f"({source})"
-        what = "end of expression" if tok.kind == "end" else repr(tok.value)
+        what = "end of expression" if tok.kind == "end" else _quoted(tok.value)
         raise ExpressionError(f"expected a value, found {what}", tok.pos)
 
     def _variable(self, tok: _Token) -> str:
         match = _VARIABLE_RE.match(tok.value)
         if match is None:
             raise ExpressionError(
-                f"unknown variable {tok.value!r} (use x1..x{self.dim})", tok.pos
+                f"unknown variable {_quoted(tok.value)} (use x1..x{self.dim})", tok.pos
             )
-        k = int(match.group(1))
+        # More digits than dim has means out of range; int() never sees them.
+        k = int(match[1]) if len(match[1]) <= len(str(self.dim)) else 0
         if not 1 <= k <= self.dim:
             raise ExpressionError(
-                f"variable x{k} out of range for dimension {self.dim}", tok.pos
+                f"variable {_quoted(tok.value)} out of range for dimension {self.dim}", tok.pos
             )
         return f"x[..., {k - 1}]"
 

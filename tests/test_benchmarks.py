@@ -149,6 +149,11 @@ def test_registry_default_boxes():
 def test_registry_fixed_dim_guard():
     with pytest.raises(ValueError, match="fixed to dim 3"):
         get_benchmark("paper_quadratic").default_box(5)
+    with pytest.raises(ValueError, match="fixed to dim 3"):
+        get_benchmark("paper_quadratic").reference_argmin(2)
+    for dim in (0, -1):
+        with pytest.raises(ValueError):
+            get_benchmark("sphere").default_box(dim)
 
 
 def test_reference_argmin_hits_reference_optimum_everywhere():

@@ -12,6 +12,11 @@ import pytest
 from stapy.cli import CliError, main, parse_config
 
 
+def bounds_of(config):
+    """The configured box as (lo, hi) pairs, comparable with ``==``."""
+    return list(zip(config.space.lower.tolist(), config.space.upper.tolist()))
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -24,8 +29,8 @@ def run_cli(args, capsys):
 def test_parse_config_rastrigin_defaults():
     config = parse_config(["--function", "rastrigin", "--dim", "10"])
     assert config.function == "rastrigin"
-    assert config.dim == 10
-    assert config.bounds == ((-5.12, 5.12),) * 10
+    assert config.space.dim == 10
+    assert bounds_of(config) == [(-5.12, 5.12)] * 10
     assert config.params.iterations == 1000 and config.params.se == 30
     assert config.seeds == (0,), "default seed is 0, explicit"
 
@@ -34,13 +39,13 @@ def test_parse_config_bounds_flag_overrides_default_box():
     config = parse_config(
         ["--function", "griewank", "--dim", "15", "--bounds", "-600,600"]
     )
-    assert config.bounds == ((-600.0, 600.0),) * 15
+    assert bounds_of(config) == [(-600.0, 600.0)] * 15
 
 
 def test_parse_config_fixed_dim_autofilled():
     config = parse_config(["--function", "paper_quadratic"])
-    assert config.dim == 3
-    assert config.bounds == ((-3.0, 3.0), (-2.0, 2.0), (-1.0, 1.0))
+    assert config.space.dim == 3
+    assert bounds_of(config) == [(-3.0, 3.0), (-2.0, 2.0), (-1.0, 1.0)]
 
 
 def test_parse_config_param_flags():
@@ -74,12 +79,12 @@ def test_parse_config_file_and_flag_precedence(tmp_path):
         )
     )
     config = parse_config(["--config", str(cfg)])
-    assert (config.function, config.dim, config.params.se) == ("sphere", 4, 10)
-    assert config.bounds == ((-10.0, 10.0),) * 4
+    assert (config.function, config.space.dim, config.params.se) == ("sphere", 4, 10)
+    assert bounds_of(config) == [(-10.0, 10.0)] * 4
     assert config.seeds == (7,)
     # CLI flags win over the file.
     override = parse_config(["--config", str(cfg), "--se", "25", "--dim", "3"])
-    assert override.params.se == 25 and override.dim == 3
+    assert override.params.se == 25 and override.space.dim == 3
 
 
 def test_parse_config_bounds_file(tmp_path):
@@ -88,7 +93,7 @@ def test_parse_config_bounds_file(tmp_path):
     config = parse_config(
         ["--function", "paper_quadratic", "--dim", "3", "--bounds-file", str(path)]
     )
-    assert config.bounds == ((-3.0, 3.0), (-2.0, 2.0), (-1.0, 1.0))
+    assert bounds_of(config) == [(-3.0, 3.0), (-2.0, 2.0), (-1.0, 1.0)]
 
 
 def test_parse_config_expression_function():
@@ -183,21 +188,21 @@ def test_config_file_null_is_absent_and_flags_win(tmp_path):
         json.dumps({"function": "sphere", "dim": "abc", "se": None, "seeds": [1.9]})
     )
     config = parse_config(["--config", str(cfg), "--dim", "3", "--seed", "4"])
-    assert (config.dim, config.params.se, config.seeds) == (3, 30, (4,))
+    assert (config.space.dim, config.params.se, config.seeds) == (3, 30, (4,))
 
 
 @pytest.mark.parametrize(
-    "args,field,expected",
+    "args,read,expected",
     [
-        (["--function", "-x1^2+x2^2", "--bounds", "-1,1"], "function", "-x1^2+x2^2"),
-        (["--function", "sphere", "--target-fitness", "-1e-3"], "target_fitness", -1e-3),
-        (["--function", "sphere", "--bounds", "-1,1"], "bounds", ((-1.0, 1.0),) * 2),
+        (["--function", "-x1^2+x2^2", "--bounds", "-1,1"], lambda c: c.function, "-x1^2+x2^2"),
+        (["--function", "sphere", "--target-fitness", "-1e-3"], lambda c: c.target_fitness, -1e-3),
+        (["--function", "sphere", "--bounds", "-1,1"], bounds_of, [(-1.0, 1.0)] * 2),
     ],
     ids=["function", "target-fitness", "bounds"],
 )
-def test_flag_value_may_start_with_minus(args, field, expected):
+def test_flag_value_may_start_with_minus(args, read, expected):
     config = parse_config(args + ["--dim", "2"])
-    assert getattr(config, field) == expected
+    assert read(config) == expected
 
 
 def test_flag_followed_by_an_option_lacks_its_value(capsys):
@@ -226,12 +231,17 @@ def test_main_rejects_over_deep_expression_in_one_line(capsys):
 
 
 def test_main_caps_the_echoed_expression_around_the_error(capsys):
-    text = "+".join(["x1"] * 2000) + "+)"
-    code, out, err = run_cli(["--function", text, "--dim", "1", "--bounds", "-1,1"], capsys)
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and len(err.encode()) < 400, "one short line"
-    assert f"at position {len(text)}" in err
-    assert "'...+x1+x1" in err and "+x1+)'" in err, "the tail is shown, the head elided"
+    terms = "+".join(["x1"] * 2000) + "+)"
+    for text, position, shown in [
+        (terms, len(terms), ["'...+x1+x1", "+x1+)'"]),  # the tail is shown, the head elided
+        ("y" * 10_000, 1, ["'yyy", "y...'"]),  # the offending token is cut too
+        ("x" + "9" * 5000, 1, ["out of range"]),  # more digits than int() reads
+    ]:
+        code, out, err = run_cli(["--function", text, "--dim", "1", "--bounds", "-1,1"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 400, "one short line"
+        assert f"at position {position}" in err
+        assert all(part in err for part in shown)
 
 
 def test_main_runs_an_iteration_budget_beyond_float_range(capsys):

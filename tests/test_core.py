@@ -161,6 +161,21 @@ def test_run_result_readonly_views():
         res.history[0] = 0.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SearchSpace.uniform(2, -1.0, 1.0),
+        lambda: Solution(np.array([1.0, 2.0]), 3.0),
+        lambda: RunResult(np.array([1.0]), 2.0, np.array([3.0, 2.0]), 60, 0),
+    ],
+    ids=["SearchSpace", "Solution", "RunResult"],
+)
+def test_array_holders_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b, "equal arrays, distinct objects"
+    assert len({a, a, b}) == 2
+
+
 def test_evaluate_batch_scalar_objective():
     def f(x):
         return float(np.sum(x))

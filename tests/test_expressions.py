@@ -194,6 +194,10 @@ def test_error_messages_are_actionable():
         parse_expression("y + 1", 2)
     with pytest.raises(ExpressionError, match="out of range for dimension 2"):
         parse_expression("x5", 2)
+    with pytest.raises(ExpressionError, match=r"'x9{19}\.\.\.' out of range"):
+        parse_expression("x" + "9" * 5000, 2)  # beyond int()'s digit limit
+    with pytest.raises(ExpressionError, match=r"unknown variable 'y{20}\.\.\.' \("):
+        parse_expression("y" * 10_000, 2)
     with pytest.raises(ExpressionError, match="known: abs, cos, exp, sin, sqrt"):
         parse_expression("tan(x1)", 2)
     with pytest.raises(ExpressionError, match="empty"):

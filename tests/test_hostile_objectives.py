@@ -1,15 +1,16 @@
 """The run contract under hostile objectives and boxes near the float limits.
 
 Objectives return NaN, +inf or -inf on islands keyed deterministically on
-the point, and may raise after a drawn share of the run's largest evaluation budget.  Whatever
-happens, a returned result (or the partial result of an aborted run) has a
-non-increasing history, a finite and feasible best with
-``fbest == history[-1] == f(best)``, and, when the run completes, an exact
-evaluation count.
+the point, and after a drawn share of the run's largest evaluation budget
+they raise, return the wrong shape or write into their input.  Whatever
+happens, the objective only sees points inside the box, and a returned
+result (or the partial result of an aborted run) has a non-increasing
+history, a finite and feasible best with ``fbest == history[-1] ==
+f(best)``, and, when the run completes, an exact evaluation count.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stapy.core import CallCounter, SearchSpace, StaParams
@@ -28,13 +29,14 @@ def islands(space, center, nan_p, pinf_p, minf_p):
 
     The distance never overflows inside a box of finite width, and every
     step is elementwise or exact, so a point gets the same value alone as in
-    a batch.
+    a batch.  Like ``nansum``, the distance skips NaN coordinates, so a point
+    with one would score finite and could win.
     """
     digits = 9.0 ** np.arange(space.dim)
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        value = np.max(np.abs(0.5 * x - 0.5 * center), axis=-1)
+        value = np.fmax.reduce(np.abs(0.5 * x - 0.5 * center), axis=-1)
         cell = np.floor(8.0 * (x - space.lower) / (space.upper - space.lower))
         key = (np.sin(1.0 + np.sum(cell * digits, axis=-1)) * 43758.5453) % 1.0
         value = np.where(key < nan_p, np.nan, value)
@@ -60,6 +62,13 @@ def boxes(draw):
     return SearchSpace(-near, -near * ratio)
 
 
+HOSTILITY = {
+    "raise": BackendError,  # the objective raises
+    "shape": TypeError,  # it returns two values per point, which evaluate_batch rejects
+    "write": ValueError,  # it writes into the read-only points it is given
+}
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     space=boxes(),
@@ -67,24 +76,40 @@ def boxes(draw):
     nan_p=st.floats(0.0, 0.4),
     pinf_p=st.floats(0.0, 0.3),
     minf_p=st.floats(0.0, 0.3),
+    hostility=st.sampled_from(sorted(HOSTILITY)),
     raise_at=st.floats(0.0, 1.5),
     batch=st.booleans(),
     se=st.integers(min_value=1, max_value=8),
     iterations=st.integers(min_value=1, max_value=10),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# Near +-1e308 the incumbent's norm overflows, and op_rotate's rows get NaN
+# coordinates (0 * inf) that projection must still clamp into the box.
+@example(
+    space=SearchSpace(np.full(2, 1e308), np.full(2, 1.7e308)),
+    where=0.0, nan_p=0.0, pinf_p=0.0, minf_p=0.0, hostility="raise",
+    raise_at=1.5, batch=True, se=30, iterations=10, seed=0,
+)
 def test_run_contract_holds_for_hostile_objectives(
-    space, where, nan_p, pinf_p, minf_p, raise_at, batch, se, iterations, seed
+    space, where, nan_p, pinf_p, minf_p, hostility, raise_at, batch, se, iterations, seed
 ):
     # A run costs at most se evaluations to start and 6 * se per iteration,
-    # so a share above 1 never raises.
+    # so a share above 1 never turns hostile.
     raise_after = raise_at * se * (1 + 6 * iterations)
     f = islands(space, space.lower + where * (space.upper - space.lower), nan_p, pinf_p, minf_p)
+    outside = []
 
     def objective(x):
+        if not space.contains(x):
+            outside.append(np.array(x))
+        value = f(x) if batch else float(f(x))
         if counting.count > raise_after:
-            raise BackendError("the objective went away")
-        return f(x) if batch else float(f(x))
+            if hostility == "raise":
+                raise BackendError("the objective went away")
+            if hostility == "shape":
+                return np.stack([value, value], axis=-1)
+            x[...] = 0.0
+        return value
 
     objective.supports_batch = batch
     counting = CallCounter(objective)
@@ -92,11 +117,14 @@ def test_run_contract_holds_for_hostile_objectives(
         try:
             result = sta_run(counting, space, StaParams(se=se, iterations=iterations), rng=seed)
         except RunAborted as err:
-            assert isinstance(err.__cause__, (BackendError, EvaluationError))
+            assert isinstance(err.__cause__, (HOSTILITY[hostility], EvaluationError))
+            if hostility == "write" and isinstance(err.__cause__, ValueError):
+                assert "read-only" in str(err.__cause__)
             result = err.partial
         else:
             assert result.evaluations == counting.count
             assert len(result.history) == iterations
+        assert not outside, f"objective saw {outside[0]} outside the box"
         if result is None:
             return
         assert np.all(np.diff(result.history) <= 0.0)
