@@ -132,6 +132,8 @@ def _parse_bound_pair(text: str, where: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise CliError(f"malformed bounds {where}: {text!r} is not a number pair") from None
+    if not np.isfinite([lo, hi]).all():
+        raise CliError(f"malformed bounds {where}: bounds must be finite, got {lo}, {hi}")
     if not lo < hi:
         raise CliError(f"malformed bounds {where}: need LO < HI, got {lo} >= {hi}")
     return lo, hi

@@ -162,9 +162,14 @@ class RandomSource:
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
-    def uniform(self, low: float, high: float, size=None):
-        """Uniform reals on [low, high]."""
-        return self._gen.uniform(low, high, size)
+    def uniform(self, low: float, high: float, size=None, out=None):
+        """Uniform reals on [low, high], written into the float64 array ``out`` if given."""
+        if out is None or not abs(high - low) < np.inf:  # a non-finite range raises OverflowError
+            return self._gen.uniform(low, high, size)
+        self._gen.random(out=out)
+        out *= high - low
+        out += low
+        return out
 
     def normal(self, size=None):
         """Standard normal reals (mean 0, variance 1)."""

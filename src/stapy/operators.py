@@ -21,6 +21,9 @@ from .core import EPS, Array, RandomSource
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
+# Bytes of rotation matrices drawn at once, sized to stay in cache for the product.
+_CHUNK_BYTES = 512 * 1024
+
 
 def _as_state(x, name: str) -> Array:
     x = np.asarray(x, dtype=float)
@@ -49,14 +52,19 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     every row.  Since ``||R @ best|| <= n * ||best||`` (Frobenius bound), the
     step norm never exceeds ``alpha``.
 
-    Draws: one uniform[-1, 1] block of shape ``(se, n, n)``.
+    Draws: one uniform[-1, 1] block of shape ``(se, n, n)``, in row chunks of
+    about 512 KiB (or one matrix), so peak memory is one chunk, not the block.
     """
     best = _as_state(best, "best")
     se, alpha = _check(se, alpha, "alpha")
     n = best.size
     coef = alpha / (n * (np.linalg.norm(best) + EPS))
-    rotations = rng.uniform(-1.0, 1.0, (se, n, n))
-    return best + coef * (rotations @ best)
+    k = min(se, max(1, _CHUNK_BYTES // (8 * n * n)))
+    buf, steps = np.empty((k, n, n)), np.empty((se, n))
+    for s in range(0, se, k):
+        rows = steps[s : s + k]
+        np.matmul(rng.uniform(-1.0, 1.0, out=buf[: len(rows)]), best, out=rows)
+    return best + coef * steps
 
 
 def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) -> Array:

@@ -127,6 +127,25 @@ def test_parse_config_actionable_errors(args, needle):
         parse_config(args)
 
 
+@pytest.mark.parametrize("lo,hi", [("nan", "1"), ("1", "nan"), ("inf", "2")])
+@pytest.mark.parametrize("source", ["flag", "file", "config"])
+def test_parse_config_rejects_non_finite_bound(tmp_path, source, lo, hi):
+    # Named as non-finite, not as a failed LO < HI comparison.
+    base = ["--function", "sphere", "--dim", "2"]
+    if source == "flag":
+        args = base + ["--bounds", f"{lo},{hi}"]
+    elif source == "file":
+        path = tmp_path / "box.txt"
+        path.write_text(f"-1,1\n{lo},{hi}\n")
+        args = base + ["--bounds-file", str(path)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"bounds": [float(lo), float(hi)]}))
+        args = base + ["--config", str(cfg)]
+    with pytest.raises(CliError, match="malformed bounds .*bounds must be finite"):
+        parse_config(args)
+
+
 def test_parse_config_mutually_exclusive_bounds(tmp_path):
     from stapy.cli import CliError
 

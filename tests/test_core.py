@@ -135,6 +135,27 @@ def test_random_source_determinism_100k_per_kind():
         assert np.array_equal(xa, xb), f"{kind} stream not reproducible"
 
 
+@pytest.mark.parametrize(
+    "low,high",
+    [(-1.0, 1.0), (0.0, 1.0), (-5.12, 5.12), (0.3, 0.7), (-600.0, 600.0), (1e-3, 3.3),
+     (-1e300, 1e300)],
+)
+def test_random_source_uniform_out_fills_the_same_bits(low, high):
+    a, b = RandomSource(11), RandomSource(11)
+    out = np.empty((50, 40))
+    assert a.uniform(low, high, out=out) is out
+    assert np.array_equal(out, b.uniform(low, high, (50, 40)))
+    assert np.array_equal(a.uniform(low, high, 3), b.uniform(low, high, 3))
+
+
+@pytest.mark.parametrize("low,high", [(-1.7e308, 1.7e308), (1.0, np.nan), (0.0, np.inf)])
+def test_random_source_uniform_out_rejects_a_non_finite_range(low, high):
+    with pytest.raises(OverflowError):
+        RandomSource(0).uniform(low, high, 4)
+    with pytest.raises(OverflowError):
+        RandomSource(0).uniform(low, high, out=np.empty(4))
+
+
 def test_random_source_seeds_differ():
     assert not np.array_equal(
         RandomSource(0).normal(100), RandomSource(1).normal(100)

@@ -1,11 +1,13 @@
 """Geometry and distribution checks for the four neighborhood samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stapy.core import RandomSource
+from stapy.core import EPS, RandomSource
 from stapy.operators import op_axes, op_expand, op_rotate, op_translate
 
 
@@ -82,6 +84,37 @@ def test_rotate_step_norm_bounded_by_alpha():
 def test_rotate_actually_moves():
     batch = op_rotate(np.ones(5), 100, 1.0, rng(1))
     assert np.linalg.norm(batch - np.ones(5), axis=1).max() > 0.0
+
+
+@pytest.mark.parametrize("se", [1, 7, 30, 31])
+@pytest.mark.parametrize("n", [1, 10, 100, 300])
+def test_rotate_chunked_draw_equals_whole_block_bits(n, se):
+    """Chunked kernel == one (se, n, n) draw times best, bit for bit.
+
+    n = 100 splits se = 7, 30 and 31 into chunks of 6 matrices (7 and 31
+    with a partial last one), and n = 300 draws one matrix per chunk.
+    """
+    best = np.random.default_rng(n).uniform(-5.0, 5.0, n)
+    got_rng, ref_rng = rng(se), rng(se)
+    got = op_rotate(best, se, 0.5, got_rng)
+    coef = 0.5 / (n * (np.linalg.norm(best) + EPS))
+    ref = best + coef * (ref_rng.uniform(-1.0, 1.0, (se, n, n)) @ best)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got_rng.uniform(-1.0, 1.0, 5), ref_rng.uniform(-1.0, 1.0, 5)), (
+        "stream position after the call"
+    )
+
+
+def test_rotate_peak_memory_is_one_chunk_not_the_block():
+    """At n = 2000 the block of 8 matrices is 256 MB; one matrix is 32 MB."""
+    best = np.linspace(-1.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        op_rotate(best, 8, 1.0, rng())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------------------------------- translation
