@@ -21,7 +21,7 @@ import numpy as np
 from .benchmarks import get_benchmark, list_benchmarks
 from .core import ObjectiveFn, SearchSpace, StaParams
 from .engine import RunAborted, sta_run
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, _quoted, parse_expression
 
 
 class CliError(ValueError):
@@ -112,7 +112,7 @@ def _load_config_file(path: str) -> dict:
             data = json.load(handle)
     except OSError as err:
         raise CliError(f"cannot read config file {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise CliError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
@@ -124,57 +124,41 @@ def _load_config_file(path: str) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
-def _parse_bound_pair(text: str, where: str) -> tuple[float, float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 2:
-        raise CliError(f"malformed bounds {where}: expected LO,HI, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise CliError(f"malformed bounds {where}: {text!r} is not a number pair") from None
-    if not np.isfinite([lo, hi]).all():
-        raise CliError(f"malformed bounds {where}: bounds must be finite, got {lo}, {hi}")
-    if not lo < hi:
-        raise CliError(f"malformed bounds {where}: need LO < HI, got {lo} >= {hi}")
-    return lo, hi
-
-
-def _read_bounds_file(path: str, dim: int) -> list[tuple[float, float]]:
+def _read_bounds_file(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as err:
+            lines = [line.strip() for line in handle]
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read bounds file {path}: {err}") from err
-    pairs = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        pairs.append(_parse_bound_pair(line, f"in {path} line {lineno}"))
-    if len(pairs) != dim:
-        raise CliError(
-            f"dim mismatch: bounds file {path} has {len(pairs)} coordinate "
-            f"line(s), expected {dim}"
-        )
-    return pairs
+    return [line for line in lines if line and not line.startswith("#")]
 
 
-def _config_bounds(raw, dim: int) -> list[tuple[float, float]]:
+def _config_rows(raw, dim: int) -> list[str]:
     # Accept [lo, hi] (uniform) or [[lo, hi], ...] (per coordinate).
-    uniform = (
-        isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw)
-    )
-    rows = [raw] if uniform else raw
-    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 2 for r in rows):
+    if isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw):
+        raw = [raw] * dim
+    if not isinstance(raw, list) or not all(isinstance(r, list) and len(r) == 2 for r in raw):
         raise CliError("malformed bounds in config file: expected [lo, hi] or [[lo, hi], ...]")
-    pairs = [_parse_bound_pair(f"{lo},{hi}", "in config file") for lo, hi in rows]
-    if uniform:
-        return pairs * dim
-    if len(pairs) != dim:
-        raise CliError(
-            f"dim mismatch: config file bounds list has {len(pairs)} entries, expected {dim}"
-        )
-    return pairs
+    return [f"{lo},{hi}" for lo, hi in raw]
+
+
+def _search_space(rows: list[str], dim: int, where: str) -> SearchSpace:
+    # One "LO,HI" (or "LO HI") row per coordinate; SearchSpace judges the box.
+    if len(rows) != dim:
+        raise CliError(f"dim mismatch: {len(rows)} bounds row(s) {where}, expected {dim}")
+    pairs = []
+    for k, row in enumerate(rows):
+        try:
+            lo, hi = map(float, row.replace(",", " ").split())
+        except ValueError:
+            raise CliError(
+                f"malformed bounds {where}: coordinate {k}: expected LO,HI, got {_quoted(row)}"
+            ) from None
+        pairs.append((lo, hi))
+    try:
+        return SearchSpace(*np.array(pairs).T)
+    except ValueError as err:
+        raise CliError(f"malformed bounds {where}: {err}") from err
 
 
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
@@ -231,7 +215,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
 
     if benchmark is not None:
         try:
-            box = benchmark.default_box(dim)
+            space = benchmark.default_box(dim)
         except ValueError as err:
             raise CliError(f"dim mismatch: {err}") from err
         objective = benchmark.objective
@@ -250,19 +234,13 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if args.bounds is not None and args.bounds_file is not None:
         raise CliError("--bounds and --bounds-file are mutually exclusive")
     if args.bounds is not None:
-        pairs = [_parse_bound_pair(args.bounds, "for --bounds")] * dim
+        space = _search_space([args.bounds] * dim, dim, "for --bounds")
     elif args.bounds_file is not None:
-        pairs = _read_bounds_file(args.bounds_file, dim)
+        space = _search_space(_read_bounds_file(args.bounds_file), dim, f"in {args.bounds_file}")
     elif "bounds" in file_cfg:
-        pairs = _config_bounds(file_cfg["bounds"], dim)
-    elif benchmark is not None:
-        pairs = list(zip(box.lower, box.upper))
-    else:
+        space = _search_space(_config_rows(file_cfg["bounds"], dim), dim, "in config file")
+    elif benchmark is None:
         raise CliError("--bounds or --bounds-file is required for expression objectives")
-    try:
-        space = SearchSpace(*np.array(pairs, dtype=float).T)
-    except ValueError as err:
-        raise CliError(f"malformed bounds: {err}") from err
 
     overrides = {k: v for k, v in vars(args).items() if k in _PARAM_KEYS and v is not None}
     try:

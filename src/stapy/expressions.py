@@ -5,11 +5,13 @@ The grammar covers ``+ - * / ^``, parentheses, numeric literals, variables
 right-associative power binding tighter than unary minus, so ``-x1^2`` means
 ``-(x1^2)`` and ``2^-3`` is legal.  Compiled expressions evaluate on single
 points or on ``(m, n)`` batches (``supports_batch``).  The parser emits the
-whole expression as one ``lambda x: ...`` in numpy, compiled once with empty
-builtins; an expression nested too deeply to compile is rejected.  Domain
-violations such as ``sqrt`` of a negative number or ``1/0`` yield non-finite
-values rather than raising, which the engine treats as never-selected
-candidates.
+whole expression as one numpy function ``def f(x): ...``, compiled once with
+empty builtins.  A long ``+``/``-`` chain is split into temporaries, so the
+number of terms in a sum has no limit; only an expression nested too deeply
+to compile (a few thousand factors in one product count as nesting) is
+rejected.  Domain violations such as ``sqrt`` of a negative number or
+``1/0`` yield non-finite values rather than raising, which the engine treats
+as never-selected candidates.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.constants: list[np.float64] = []
+        self.lines: list[str] = []  # statements ``tK = ...`` before the return
 
     def parse(self) -> str:
         if self.tokens[0].kind == "end":
@@ -122,9 +125,14 @@ class _Parser:
 
     def _sum(self) -> str:
         # Python gives * / precedence over + - and associates all four to the
-        # left, as the grammar does, so one loop emits both of its levels.
+        # left, as the grammar does, so one loop emits both of its levels.  A
+        # long chain is cut before a + or - into a temporary ``tK``, which keeps
+        # the association but bounds the nesting the compiler sees.
         parts = [self._unary()]
         while (op := self._accept_op("+-*/")) is not None:
+            if op in "+-" and len(parts) > 500:
+                self.lines.append(f"t{len(self.lines)} = {' '.join(parts)}")
+                parts = [f"t{len(self.lines) - 1}"]
             parts += [op, self._unary()]
         return " ".join(parts)
 
@@ -231,8 +239,10 @@ def parse_expression(text: str, dim: int) -> CompiledExpression:
     parser = _Parser(text, dim)
     try:
         source = parser.parse()
-        namespace = {"__builtins__": {}, "c": tuple(parser.constants), "power": np.power}
-        fn = eval(f"lambda x: {source}", namespace | _FUNCTIONS)
+        scope = {"__builtins__": {}, "c": tuple(parser.constants), "power": np.power} | _FUNCTIONS
+        body = "".join(f"    {line}\n" for line in parser.lines)
+        exec(f"def f(x):\n{body}    return {source}", scope)
+        fn = scope["f"]
     except (RecursionError, SyntaxError):
         raise ExpressionError("expression nests too deeply", 1) from None
     return CompiledExpression(text, dim, fn)

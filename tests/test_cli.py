@@ -146,6 +146,61 @@ def test_parse_config_rejects_non_finite_bound(tmp_path, source, lo, hi):
         parse_config(args)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2,1", "1,1", "nan,1", "-1e308,1e308", "abc", "1," + "x" * 100_000],
+    ids=["reversed", "empty", "nan", "width-overflows", "not-a-pair", "long-text"],
+)
+@pytest.mark.parametrize("source", ["flag", "file", "config"])
+def test_malformed_bounds_name_their_source_in_one_short_line(tmp_path, capsys, source, text):
+    base = ["--function", "sphere", "--dim", "2"]
+    if source == "flag":
+        args, where = base + ["--bounds", text], "for --bounds"
+    elif source == "file":
+        path = tmp_path / "box.txt"
+        path.write_text(f"-1,1\n{text}\n")
+        args, where = base + ["--bounds-file", str(path)], f"in {path}"
+    else:
+        def number_or_text(v):
+            try:
+                return float(v)
+            except ValueError:
+                return v
+
+        cfg = tmp_path / "run.json"
+        row = [number_or_text(v) for v in text.split(",")]
+        cfg.write_text(json.dumps({"bounds": [[-1, 1], row]}))
+        args, where = base + ["--config", str(cfg)], "in config file"
+    with pytest.raises(CliError) as info:
+        parse_config(args)
+    assert str(info.value).startswith(f"malformed bounds {where}")
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 400, "one short line"
+
+
+def test_bounds_file_that_is_not_utf8_is_one_line(tmp_path, capsys):
+    path = tmp_path / "box.txt"
+    path.write_bytes(b"\xff-1,1\n-1,1\n")
+    args = ["--function", "sphere", "--dim", "2", "--bounds-file", str(path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "cannot read bounds file" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"function": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deeply"],
+)
+def test_config_file_that_cannot_be_decoded_is_one_line(tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(content)
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "is not valid JSON" in err
+
+
 def test_parse_config_mutually_exclusive_bounds(tmp_path):
     from stapy.cli import CliError
 

@@ -166,6 +166,23 @@ def test_deep_expression_compiles_or_raises_expression_error(text, value):
         assert f(np.array([1.5])) == value
 
 
+def test_2000_dimensional_flat_sum_equals_numpy_bit_for_bit():
+    """4,001 top-level terms compile; the chain keeps numpy's left-to-right order."""
+    n = 2000
+    shift = RandomSource(3).uniform(-2.0, 2.0, n)
+    text = "20000.0" + "".join(
+        f" + (x{i}-{o!r})^2 - 10*cos(6.283185307179586*(x{i}-{o!r}))"
+        for i, o in enumerate(shift.tolist(), start=1)
+    )
+    f = parse_expression(text, n)
+    rows = RandomSource(4).uniform(-5.12, 5.12, (8, n))
+    expected = np.full(8, 20000.0)
+    for i, o in enumerate(shift):
+        d = rows[:, i] - o
+        expected = expected + np.power(d, 2.0) - 10.0 * np.cos(6.283185307179586 * d)
+    assert np.array_equal(f(rows), expected)
+
+
 def test_wrong_arity_point_rejected():
     f = parse_expression("x1+x2", 2)
     with pytest.raises(ValueError):
