@@ -6,12 +6,14 @@ right-associative power binding tighter than unary minus, so ``-x1^2`` means
 ``-(x1^2)`` and ``2^-3`` is legal.  Compiled expressions evaluate on single
 points or on ``(m, n)`` batches (``supports_batch``).  The parser emits the
 whole expression as one numpy function ``def f(x): ...``, compiled once with
-empty builtins.  A long ``+``/``-`` chain is split into temporaries, so the
-number of terms in a sum has no limit; only an expression nested too deeply
-to compile (a few thousand factors in one product count as nesting) is
-rejected.  Domain violations such as ``sqrt`` of a negative number or
-``1/0`` yield non-finite values rather than raising, which the engine treats
-as never-selected candidates.
+empty builtins.  Terms of a ``+``/``-`` chain that differ only in variables
+and literals (the coordinates of a written-out rastrigin) are evaluated as one
+column block and summed in source order, with the same bits as term by term.
+Long sums and products are split into temporaries, so their length has no
+limit; only an expression nested too deeply to compile is rejected.  Domain
+violations such as ``sqrt`` of a negative number or ``1/0`` yield non-finite
+values rather than raising, which the engine treats as never-selected
+candidates.
 """
 
 from __future__ import annotations
@@ -82,20 +84,44 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+_CONSTANT_RE = re.compile(r"c\[(\d+)\]")
+_INPUT_RE = re.compile(r"x\[|\bt\d")  # reads a variable or a temporary
+# A term's slots: its variables, and its literals but a literal exponent (its
+# only ``, c[i]``), so a rolled power keeps numpy's scalar fast paths (square).
+_SLOT_RE = re.compile(r"x\[\.\.\., (\d+)\]|(?<!, )c\[(\d+)\]")
+
+
+def _indexer(indices: list[int]):
+    """A slice over ``indices`` if they step evenly upward, else an index array."""
+    run = range(indices[0], indices[-1] + 1, max(indices[1] - indices[0], 1))
+    return slice(run.start, run.stop, run.step) if indices == list(run) else np.array(indices)
+
+
+def _fold(x, count, wheres, *terms):
+    """Sum a chain of ``count`` terms strictly left to right; ``wheres`` holds
+    where each of ``terms``, a column or a block of columns, stands in it."""
+    stack = np.empty(x.shape[:-1] + (count,))
+    for where, term in zip(wheres, terms):
+        stack[..., where] = term
+    return np.add.accumulate(stack, axis=-1)[..., -1]
+
+
 class _Parser:
     """Recursive descent over the token stream, emitting Python source.
 
     Each grammar rule returns source over an ``(..., n)`` float array ``x``;
-    the i-th literal appears as ``c[i]``, with its value in ``constants``.
+    each literal value appears as one ``c[i]``, its value in ``constants``.
     """
 
     def __init__(self, text: str, dim: int):
-        self.text = text
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
-        self.constants: list[np.float64] = []
+        self.constants: list = []
+        self._index: dict = {}  # a float's bytes, else an object's id -> its i
         self.lines: list[str] = []  # statements ``tK = ...`` before the return
+        self.scope = {"__builtins__": {}, "c": self.constants, "power": np.power,
+                      "_fold": _fold} | _FUNCTIONS
 
     def parse(self) -> str:
         if self.tokens[0].kind == "end":
@@ -123,37 +149,95 @@ class _Parser:
             return tok.value
         return None
 
+    def _constant(self, value) -> str:
+        key = value.tobytes() if isinstance(value, np.float64) else id(value)
+        if key not in self._index:
+            self._index[key] = len(self.constants)
+            self.constants.append(value)
+        return f"c[{self._index[key]}]"
+
+    def _temporary(self, source: str) -> str:
+        self.lines.append(f"t{len(self.lines)} = {source}")
+        return f"t{len(self.lines) - 1}"
+
+    def _folded(self, source: str) -> str:
+        """``source`` or, if it reads no variable, one literal of its value."""
+        if _INPUT_RE.search(source) or _CONSTANT_RE.fullmatch(source):
+            return source
+        with np.errstate(all="ignore"):  # the same numpy scalar calls, made once
+            return self._constant(np.float64(eval(source, self.scope)))
+
+    def _joined(self, parts: list[str]) -> str:
+        # Left-associative operands and operators, cut every 500 parts into a
+        # temporary, which keeps the order but bounds the compiler's nesting.
+        head = parts[:501]
+        for i in range(501, len(parts), 500):
+            head = [self._temporary(" ".join(head))] + parts[i:i + 500]
+        return " ".join(head)
+
     def _sum(self) -> str:
-        # Python gives * / precedence over + - and associates all four to the
-        # left, as the grammar does, so one loop emits both of its levels.  A
-        # long chain is cut before a + or - into a temporary ``tK``, which keeps
-        # the association but bounds the nesting the compiler sees.
+        # Terms equal but for their slots share a template; one met twice or
+        # more is evaluated once on a column block, then folded in source order.
+        terms = [("+", self._product())]
+        while (op := self._accept_op("+-")) is not None:
+            term = self._product()
+            if op == "+" and _CONSTANT_RE.fullmatch(term):
+                # a + c is exactly a - (-c): shifts of either sign share a template.
+                op, term = "-", self._folded("-" + term)
+            terms.append((op, term))
+        groups: dict = {}
+        for position, (sign, source) in enumerate(terms):
+            template = _SLOT_RE.sub(lambda m: "x[..., {}]" if m[1] else "{}", source)
+            groups.setdefault((sign, template) if "x[" in source else position, []).append(position)
+        if len(groups) == len(terms):
+            return self._joined([part for term in terms for part in term][1:])
+        wheres, values = [], []
+        for key, positions in groups.items():
+            sign, source = terms[positions[0]]
+            wheres.append(positions[0])
+            if len(positions) > 1:
+                slots = zip(*(_SLOT_RE.findall(terms[p][1]) for p in positions))
+                source = key[1].format(*map(self._slot, slots))
+                wheres[-1] = _indexer(positions)
+            values.append(source if sign == "+" else f"-({source})")
+        wheres = self._constant(wheres)
+        return self._temporary(f"_fold(x, {len(terms)}, {wheres}, {', '.join(values)})")
+
+    def _slot(self, column: tuple[tuple[str, str], ...]) -> str:
+        """An indexer over a slot's variables, its one literal, or a vector."""
+        variables, literals = zip(*column)
+        if variables[0]:
+            return self._constant(_indexer([int(k) for k in variables]))
+        if len(set(literals)) == 1:
+            return f"c[{literals[0]}]"
+        return self._constant(np.array([self.constants[int(i)] for i in literals]))
+
+    def _product(self) -> str:
         parts = [self._unary()]
-        while (op := self._accept_op("+-*/")) is not None:
-            if op in "+-" and len(parts) > 500:
-                self.lines.append(f"t{len(self.lines)} = {' '.join(parts)}")
-                parts = [f"t{len(self.lines) - 1}"]
+        while (op := self._accept_op("*/")) is not None:
             parts += [op, self._unary()]
-        return " ".join(parts)
+        return self._joined(parts)
 
     def _unary(self) -> str:
         if self._accept_op("+") is not None:
             return self._unary()
         if self._accept_op("-") is not None:
-            return "-" + self._unary()
-        return self._power()
+            return self._folded("-" + self._unary())
+        return self._folded(self._power())
 
     def _power(self) -> str:
         base = self._atom()
-        if self._accept_op("^") is not None:
-            return f"power({base}, {self._unary()})"
-        return base
+        if self._accept_op("^") is None:
+            return base
+        exponent = self._unary()
+        if not _CONSTANT_RE.fullmatch(exponent):  # read from x: never rolled,
+            exponent = self._temporary(exponent)  # as numpy squares only scalars
+        return f"power({base}, {exponent})"
 
     def _atom(self) -> str:
         tok = self._advance()
         if tok.kind == "num":
-            self.constants.append(np.float64(tok.value))
-            return f"c[{len(self.constants) - 1}]"
+            return self._constant(np.float64(tok.value))
         if tok.kind == "name":
             if self._peek().kind == "op" and self._peek().value == "(":
                 if tok.value not in _FUNCTIONS:
@@ -207,10 +291,10 @@ class CompiledExpression:
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
+        if x.shape[-1:] != (self.dim,):
             raise ValueError(
                 f"expression over {self.dim} variables got a point of "
-                f"length {x.shape[-1]}"
+                f"length {x.shape[-1] if x.ndim else '0 (a scalar)'}"
             )
         with np.errstate(all="ignore"):
             value = self._fn(x)
@@ -239,10 +323,9 @@ def parse_expression(text: str, dim: int) -> CompiledExpression:
     parser = _Parser(text, dim)
     try:
         source = parser.parse()
-        scope = {"__builtins__": {}, "c": tuple(parser.constants), "power": np.power} | _FUNCTIONS
         body = "".join(f"    {line}\n" for line in parser.lines)
-        exec(f"def f(x):\n{body}    return {source}", scope)
-        fn = scope["f"]
+        exec(f"def f(x):\n{body}    return {source}", parser.scope)
+        fn = parser.scope["f"]
     except (RecursionError, SyntaxError):
         raise ExpressionError("expression nests too deeply", 1) from None
     return CompiledExpression(text, dim, fn)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stapy.benchmarks import paper_quadratic, rastrigin
+from stapy.benchmarks import griewank, paper_quadratic, rastrigin
 from stapy.core import RandomSource
 from stapy.expressions import ExpressionError, parse_expression
 
@@ -232,3 +232,134 @@ def test_error_messages_are_actionable():
 def test_parse_expression_rejects_bad_dim():
     with pytest.raises(ValueError):
         parse_expression("x1", 0)
+
+
+# ------------------------------------------------- repeated terms, rolled
+
+
+def workload_text(n, seed=0):
+    """The benchmark's shifted rastrigin text at dimension ``n``, mixed-sign shifts."""
+    from dataclasses import replace
+
+    from perfbench.workloads import WORKLOADS, draw_shift, expression
+
+    workload = replace(WORKLOADS["cli_n10_expr"], dim=n)
+    shift = draw_shift(np.random.default_rng(seed), n, workload.half_width)
+    assert (shift < 0).any() and (shift > 0).any()
+    return expression(workload, shift), shift
+
+
+def rastrigin_in_source_order(x, shift):
+    value = np.float64(10.0 * len(shift))
+    for i, o in enumerate(shift):
+        d = x[..., i] - o
+        value = value + np.power(d, 2.0) - 10.0 * np.cos(6.283185307179586 * d)
+    return value
+
+
+def assert_equals_oracle(f, oracle, dim, scale=5.12):
+    """Bit-equal on 30-row batches, some rows holding NaN and +-inf, and on
+    every row as a single point."""
+    rng = np.random.default_rng(dim)
+    rows = rng.uniform(-scale, scale, (30, dim))
+    rows[rng.integers(0, 30, 6), rng.integers(0, dim, 6)] = [
+        np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0
+    ]
+    with np.errstate(all="ignore"):
+        assert np.array_equal(f(rows), np.broadcast_to(oracle(rows), (30,)), equal_nan=True)
+        for row in rows:
+            assert np.array_equal(f(row), oracle(row), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [10, 100, 2000])
+def test_workload_expression_equals_numpy_in_source_order(n):
+    text, shift = workload_text(n)
+    f = parse_expression(text, n)
+    assert_equals_oracle(f, lambda x: rastrigin_in_source_order(x, shift), n)
+
+
+def test_workload_expression_compiles_to_code_of_fixed_length():
+    """The coordinates roll into one block, so the code does not grow with n."""
+    lengths = {len(parse_expression(workload_text(n)[0], n)._fn.__code__.co_code)
+               for n in (10, 1000)}
+    assert len(lengths) == 1
+
+
+def test_rolled_function_sees_only_fixed_names_and_no_builtins():
+    f = parse_expression(workload_text(10)[0], 10)
+    assert f._fn.__globals__["__builtins__"] == {}
+    assert set(f._fn.__code__.co_names) <= {"c", "power", "cos", "_fold"}
+    assert "_fold" in f._fn.__code__.co_names
+
+
+@pytest.mark.parametrize(
+    "text,dim,oracle",
+    [
+        # Non-adjacent and interleaved templates.
+        ("x1^2 + sin(x1) - 3*x2 + x2^2 - sin(x2) + x3^2 + sin(x3) - 3*x1", 3,
+         lambda v: np.power(v[..., 0], 2.0) + np.sin(v[..., 0]) - 3.0 * v[..., 1]
+         + np.power(v[..., 1], 2.0) - np.sin(v[..., 1]) + np.power(v[..., 2], 2.0)
+         + np.sin(v[..., 2]) - 3.0 * v[..., 0]),
+        # A repeated variable.
+        ("+".join(["x1"] * 7), 1,
+         lambda v: v[..., 0] + v[..., 0] + v[..., 0] + v[..., 0] + v[..., 0] + v[..., 0]
+         + v[..., 0]),
+        # Templates that differ only in a literal exponent.
+        ("x1^2 + x2^3 + x3^2 + x4^3", 4,
+         lambda v: np.power(v[..., 0], 2.0) + np.power(v[..., 1], 3.0)
+         + np.power(v[..., 2], 2.0) + np.power(v[..., 3], 3.0)),
+        # Two variable slots per term.
+        ("x1*x2 + x2*x3 + x3*x4 + x4*x1", 4,
+         lambda v: v[..., 0] * v[..., 1] + v[..., 1] * v[..., 2] + v[..., 2] * v[..., 3]
+         + v[..., 3] * v[..., 0]),
+        # A rolled chain nested inside sqrt.
+        ("1 + sqrt(x1^2 + x2^2 + x3^2) - x3", 3,
+         lambda v: 1.0 + np.sqrt(np.power(v[..., 0], 2.0) + np.power(v[..., 1], 2.0)
+                                 + np.power(v[..., 2], 2.0)) - v[..., 2]),
+        # Shifts of either sign, and literal-only factors kept scalar (i^0.5).
+        ("(x1+0.5)/1^0.5 + (x2-0.25)/2^0.5 + (x3+-1)/3^0.5", 3,
+         lambda v: (v[..., 0] + 0.5) / np.power(1.0, 0.5) + (v[..., 1] - 0.25)
+         / np.power(2.0, 0.5) + (v[..., 2] + -1.0) / np.power(3.0, 0.5)),
+    ],
+    ids=["interleaved", "repeated-variable", "exponents", "two-slots", "nested-sqrt",
+         "signs-and-literals"],
+)
+def test_rolled_chains_equal_numpy_in_source_order(text, dim, oracle):
+    assert_equals_oracle(parse_expression(text, dim), oracle, dim, scale=3.0)
+
+
+def test_exponent_read_from_x_is_not_rolled():
+    """At a point where x3 = 2, numpy squares the scalar base; a rolled block
+    would call pow on an array, which differs in the last bit for some bases."""
+    f = parse_expression("x1^x3 + x2^x3", 3)
+    rows = RandomSource(8).uniform(0.5, 3.0, (200, 3))
+    rows[:, 2] = 2.0
+    for row in rows:
+        assert f(row) == np.power(row[..., 0], row[..., 2]) + np.power(row[..., 1], row[..., 2])
+
+
+def test_literal_only_factors_are_computed_once_by_the_scalar_call():
+    """``i^0.5`` is evaluated when compiling, by numpy's scalar pow, so a rolled
+    block cannot move it to an array fast path such as sqrt."""
+    f = parse_expression("x1/2^0.5 + x2/3^0.5 - x3/-4", 3)
+    assert "power" not in f._fn.__code__.co_names
+    point = np.array([1.0, 2.0, 3.0])
+    assert f(point) == 1.0 / np.power(2.0, 0.5) + 2.0 / np.power(3.0, 0.5) - 3.0 / -4.0
+
+
+def test_3000_dimensional_griewank_product_compiles():
+    """A product of 3,000 factors is cut into temporaries, not rejected."""
+    n = 3000
+    text = "1 + " + " + ".join(f"x{i}^2/4000" for i in range(1, n + 1)) + " - " + "*".join(
+        f"cos(x{i}/{i}^0.5)" for i in range(1, n + 1)
+    )
+    f = parse_expression(text, n)
+    rows = RandomSource(6).uniform(-600.0, 600.0, (4, n))
+    rows[0] = RandomSource(7).uniform(-1.0, 1.0, n)  # where the product matters
+    assert np.allclose(f(rows), griewank(rows), rtol=1e-12, atol=0.0)
+    assert f(rows[0]) == pytest.approx(float(griewank(rows[0])), rel=1e-12)
+
+
+def test_scalar_point_is_rejected_with_value_error():
+    with pytest.raises(ValueError, match="expression over 1 variables got a point of length"):
+        parse_expression("x1^2", 1)(3.0)
