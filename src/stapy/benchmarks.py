@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Array, SearchSpace
+from .core import Array, SearchSpace, _count
 
 __all__ = [
     "sphere",
@@ -104,6 +104,7 @@ class BenchmarkSpec:
         return len(self.lower) if isinstance(self.lower, tuple) else None
 
     def default_box(self, dim: int) -> SearchSpace:
+        """The customary box; ``dim`` is an integer (``3.0`` counts, ``2.7`` raises ValueError)."""
         return SearchSpace(self._values(self.lower, dim), self._values(self.upper, dim))
 
     def reference_argmin(self, dim: int) -> Array:
@@ -111,7 +112,7 @@ class BenchmarkSpec:
         return self._values(self.argmin, dim)
 
     def _values(self, value: _Bound, dim: int) -> Array:
-        dim = int(dim)
+        dim = _count(dim, "dim")
         if self.fixed_dim not in (None, dim):
             raise ValueError(
                 f"benchmark {self.name!r} is fixed to dim {self.fixed_dim}, got {dim}"

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import get_benchmark, list_benchmarks
-from .core import ObjectiveFn, SearchSpace, StaParams
+from .core import ObjectiveFn, RandomSource, SearchSpace, StaParams, _real
 from .engine import RunAborted, sta_run
 from .expressions import ExpressionError, _quoted, parse_expression
 
@@ -245,13 +245,15 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     overrides = {k: v for k, v in vars(args).items() if k in _PARAM_KEYS and v is not None}
     try:
         params = StaParams(**overrides)
+        seeds = tuple(RandomSource(s).seed for s in args.seed or [0])
+        if args.target_fitness is not None:
+            args.target_fitness = _real(args.target_fitness, "target_fitness")
     except ValueError as err:
         raise CliError(str(err)) from err
 
-    seeds = tuple(args.seed or [0])
-    for s in seeds:
-        if not 0 <= s < 2**64:
-            raise CliError(f"seed {s} is outside the unsigned 64-bit range")
+    outputs = [os.path.realpath(path) for path in (args.out_json, args.out_csv) if path]
+    if len(set(outputs)) < len(outputs):
+        raise CliError("--out-json and --out-csv name the same file")
 
     return RunConfig(
         function=function,

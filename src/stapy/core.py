@@ -14,7 +14,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -25,6 +27,28 @@ ObjectiveFn = Callable[[Array], float]
 #: Guard added to Euclidean norms before division, so zero-norm states do
 #: not divide by zero (they become multiplicative fixed points instead).
 EPS = float(np.finfo(np.float64).eps)
+
+
+def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """``value`` as an int in ``[low, high)``; a float counts only if integral, never truncated."""
+    if isinstance(value, (float, np.floating)):
+        count = int(value) if value.is_integer() else None
+    else:
+        count = operator.index(value)  # ints and numpy integers; a TypeError for the rest
+    if count is None or not low <= count < high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return count
+
+
+def _real(value, name: str, above: float = -math.inf) -> float:
+    """``value`` as a finite float greater than ``above``."""
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not above < real < math.inf:
+        raise ValueError(f"{name} must be finite and > {above}, got {value!r}")
+    return real
 
 
 def _readonly(values, dtype=float) -> Array:
@@ -76,9 +100,8 @@ class SearchSpace:
     @classmethod
     def uniform(cls, dim: int, lo: float, hi: float) -> "SearchSpace":
         """Box with the same ``[lo, hi]`` interval on every coordinate."""
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
-        return cls(np.full(dim, float(lo)), np.full(dim, float(hi)))
+        dim = _count(dim, "dim")
+        return cls(np.full(dim, lo, dtype=float), np.full(dim, hi, dtype=float))
 
     def contains(self, x: Array) -> bool:
         x = np.asarray(x, dtype=float)
@@ -99,7 +122,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class StaParams:
-    """Algorithm constants, all finite.
+    """Algorithm constants.
 
     ``alpha_max``/``alpha_min`` bracket the annealed rotation radius, ``beta``
     is the translation step cap, ``gamma`` and ``delta`` scale the expansion
@@ -107,6 +130,8 @@ class StaParams:
     operator application (degree of search enforcement), ``fc`` the geometric
     decay base of the rotation radius, and ``iterations`` the outer-loop
     budget.  Use :func:`dataclasses.replace` to override single fields.
+    ``se`` and ``iterations`` are integers >= 1 (``30.0`` counts, ``2.5``
+    raises ValueError); the other fields are finite and > 0, ``fc`` > 1.
     """
 
     alpha_max: float = 1.0
@@ -119,30 +144,18 @@ class StaParams:
     iterations: int = 1000
 
     def __post_init__(self):
-        for name in ("alpha_max", "alpha_min", "beta", "gamma", "delta", "fc"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        for name in ("se", "iterations"):
-            value = getattr(self, name)
-            if not (abs(value) < np.inf and int(value) == value):
-                raise ValueError(f"{name} must be a finite integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 0.0 < self.alpha_min <= self.alpha_max:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                value = _count(value, field.name)
+            else:
+                value = _real(value, field.name, 1.0 if field.name == "fc" else 0.0)
+            object.__setattr__(self, field.name, value)
+        if not self.alpha_min <= self.alpha_max:
             raise ValueError(
-                f"need 0 < alpha_min <= alpha_max, got "
+                f"need alpha_min <= alpha_max, got "
                 f"alpha_min={self.alpha_min}, alpha_max={self.alpha_max}"
             )
-        for name in ("beta", "gamma", "delta"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.se < 1:
-            raise ValueError(f"se must be >= 1, got {self.se}")
-        if not self.fc > 1.0:
-            raise ValueError(f"fc must be > 1, got {self.fc}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
 class RandomSource:
@@ -152,15 +165,13 @@ class RandomSource:
     sequences reproduce identical streams within this implementation;
     bit-compatibility with other generators is not a goal.  Instances are
     single-owner mutable state: share between threads only with external
-    synchronization.
+    synchronization.  ``seed`` is an integer in [0, 2**64) (``3.0`` counts,
+    ``1.5`` raises ValueError, a string TypeError).
     """
 
     def __init__(self, seed: int = 0):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self.seed = _count(seed, "seed", 0, 2**64)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low: float, high: float, size=None, out=None):
         """Uniform reals on [low, high], written into the float64 array ``out`` if given."""

@@ -36,6 +36,8 @@ from .core import (
     SearchSpace,
     Solution,
     StaParams,
+    _count,
+    _real,
     evaluate_batch,
 )
 from .operators import op_axes, op_expand, op_rotate, op_translate
@@ -93,12 +95,12 @@ class RunState:
 def initialize(
     space: SearchSpace, se: int, rng: RandomSource, objective: ObjectiveFn
 ) -> Solution:
-    """Best of ``se`` points drawn coordinate-wise uniformly over the box.
+    """Best of ``se`` points (an integer >= 1) drawn coordinate-wise uniformly over the box.
 
     Selection follows :func:`select_best`.  The only place the engine raises
     :class:`EvaluationError`: when no initial point has a finite value.
     """
-    u = rng.uniform(0.0, 1.0, (se, space.dim))
+    u = rng.uniform(0.0, 1.0, (_count(se, "se"), space.dim))
     best = select_best(objective, space.lower + u * (space.upper - space.lower))
     if best.fitness == np.inf:
         raise EvaluationError("objective is non-finite at every initial point")
@@ -164,7 +166,7 @@ def phase(
     if kind == "expansion":
         batch = op_expand(incumbent.coords, params.se, params.gamma, rng)
     elif kind == "rotation":
-        radius = params.alpha_max if alpha is None else float(alpha)
+        radius = params.alpha_max if alpha is None else alpha
         batch = op_rotate(incumbent.coords, params.se, radius, rng)
     elif kind == "axesion":
         batch = op_axes(incumbent.coords, params.se, params.delta, rng)
@@ -202,13 +204,12 @@ def sta_run(
     params : StaParams, optional
         Algorithm constants; defaults to ``StaParams()``.
     rng : RandomSource or int, optional
-        Random source, or a seed (any integer, numpy integers included) for
-        a fresh one; default seed 0.  Pass a fresh source (or just the seed)
-        to make runs reproducible.
+        Random source, or a seed for a fresh one (default 0, see
+        :class:`RandomSource`); a fresh source or a seed makes runs reproducible.
     target_fitness : float, optional
         Convenience early stop, off by default: the loop ends after the first
         iteration whose incumbent fitness is <= this value, truncating the
-        history accordingly.
+        history accordingly.  NaN or +-inf raises ValueError before any evaluation.
     observer : callable, optional
         Instrumentation hook called once per completed iteration with a
         :class:`RunState` snapshot.
@@ -222,6 +223,8 @@ def sta_run(
     """
     if params is None:
         params = StaParams()
+    if target_fitness is not None:
+        target_fitness = _real(target_fitness, "target_fitness")
     if not isinstance(rng, RandomSource):
         rng = RandomSource(0 if rng is None else rng)
     counting = CallCounter(objective)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array
+from .core import Array, _count
 
 __all__ = ["ExpressionError", "CompiledExpression", "parse_expression"]
 
@@ -315,11 +315,10 @@ def parse_expression(text: str, dim: int) -> CompiledExpression:
 
     Raises :class:`ExpressionError` (with the offending 1-based position) on
     syntax errors, unknown names, or variable indices beyond ``dim``, and at
-    position 1 on an expression that nests too deeply to compile.
+    position 1 on an expression that nests too deeply to compile.  ``dim`` is
+    an integer >= 1 (``3.0`` counts, ``2.7`` raises ValueError).
     """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
+    dim = _count(dim, "dim")
     parser = _Parser(text, dim)
     try:
         source = parser.parse()

@@ -11,13 +11,16 @@ all-zero state is a fixed point of the whole family.  This is a deliberate,
 documented property of the method, not an oversight; the norm denominators
 are guarded with :data:`~stapy.core.EPS` so zero-norm states never divide by
 zero.
+
+Each sampler judges ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
+ValueError), and its step factor, a finite real > 0, before any draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS, Array, RandomSource
+from .core import EPS, Array, RandomSource, _count, _real
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
@@ -34,16 +37,6 @@ def _as_state(x, name: str) -> Array:
     return x
 
 
-def _check(se: int, factor: float, name: str) -> tuple[int, float]:
-    se = int(se)
-    if se < 1:
-        raise ValueError(f"se must be >= 1, got {se}")
-    factor = float(factor)
-    if not factor > 0.0:
-        raise ValueError(f"{name} must be positive, got {factor}")
-    return se, factor
-
-
 def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     """Sample a hypersphere of radius at most ``alpha`` around ``best``.
 
@@ -56,7 +49,7 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     about 512 KiB (or one matrix), so peak memory is one chunk, not the block.
     """
     best = _as_state(best, "best")
-    se, alpha = _check(se, alpha, "alpha")
+    se, alpha = _count(se, "se"), _real(alpha, "alpha", 0.0)
     n = best.size
     coef = alpha / (n * (np.linalg.norm(best) + EPS))
     k = min(se, max(1, _CHUNK_BYTES // (8 * n * n)))
@@ -82,7 +75,7 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
     new_best = _as_state(new_best, "new_best")
     if old_best.shape != new_best.shape:
         raise ValueError("old_best and new_best must have the same length")
-    se, beta = _check(se, beta, "beta")
+    se, beta = _count(se, "se"), _real(beta, "beta", 0.0)
     diff = new_best - old_best
     direction = diff / (np.linalg.norm(diff) + EPS)
     steps = beta * rng.uniform(0.0, 1.0, se)
@@ -99,7 +92,7 @@ def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:
     Draws: one standard-normal block of shape ``(se, n)``.
     """
     best = _as_state(best, "best")
-    se, gamma = _check(se, gamma, "gamma")
+    se, gamma = _count(se, "se"), _real(gamma, "gamma", 0.0)
     gains = rng.normal((se, best.size))
     return best + gamma * gains * best
 
@@ -115,7 +108,7 @@ def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
     standard-normal vector of shape ``(se,)``.
     """
     best = _as_state(best, "best")
-    se, delta = _check(se, delta, "delta")
+    se, delta = _count(se, "se"), _real(delta, "delta", 0.0)
     axes = rng.integers(best.size, size=se) - 1
     gains = rng.normal(se)
     rows = np.repeat(best[None, :], se, axis=0)
