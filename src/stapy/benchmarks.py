@@ -1,8 +1,12 @@
 """Standard test objectives with their customary boxes and known optima.
 
-All functions accept a single point of shape ``(n,)`` or a batch of shape
-``(m, n)`` and reduce over the last axis, so they plug directly into the
-engine's vectorized evaluation path (``supports_batch``).  Each
+All functions accept a single point of shape ``(n,)``, giving an
+``np.float64``, or a batch of shape ``(..., n)``, giving an array over the
+leading axes, so they plug directly into the engine's vectorized evaluation
+path (``supports_batch``).  Per-dimension constants (griewank's ``sqrt(i)``)
+are computed once per ``n`` and the sums and products call the ufunc's
+``reduce`` directly; the values are bit-identical to the textbook formulas
+written with ``np.sum`` and ``np.prod``.  Each
 :class:`BenchmarkSpec` states its box and argmin as plain values, which
 :meth:`~BenchmarkSpec.default_box` and :meth:`~BenchmarkSpec.reference_argmin`
 spread over the requested dimension.
@@ -11,11 +15,12 @@ spread over the requested dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Array, SearchSpace, _count
+from .core import Array, SearchSpace, _count, _readonly
 
 __all__ = [
     "sphere",
@@ -29,38 +34,46 @@ __all__ = [
 ]
 
 
-def sphere(x) -> float:
+def sphere(x) -> Union[np.float64, Array]:
     """Sum of squares; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
-def rosenbrock(x) -> float:
+def rosenbrock(x) -> Union[np.float64, Array]:
     """Banana-valley function; minimum 0 at (1, ..., 1)."""
     x = np.asarray(x, dtype=float)
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head * head) ** 2 + (1.0 - head) ** 2, axis=-1)
+    return np.add.reduce(100.0 * (tail - head * head) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-def rastrigin(x) -> float:
+_TWO_PI = 2.0 * np.pi
+
+
+def rastrigin(x) -> Union[np.float64, Array]:
     """10n + sum(x_i^2 - 10 cos(2 pi x_i)); highly multimodal, minimum 0 at 0."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    return 10.0 * n + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+    return 10.0 * n + np.add.reduce(x * x - 10.0 * np.cos(_TWO_PI * x), axis=-1)
 
 
-def griewank(x) -> float:
+@lru_cache(maxsize=32)
+def _sqrt_index(n: int) -> Array:
+    """Read-only ``sqrt(1), ..., sqrt(n)``, griewank's divisors."""
+    return _readonly(np.sqrt(np.arange(1, n + 1, dtype=float)))
+
+
+def griewank(x) -> Union[np.float64, Array]:
     """1 + sum(x_i^2)/4000 - prod(cos(x_i / sqrt(i))); minimum 0 at 0."""
     x = np.asarray(x, dtype=float)
-    i = np.arange(1, x.shape[-1] + 1, dtype=float)
     return (
         1.0
-        + np.sum(x * x, axis=-1) / 4000.0
-        - np.prod(np.cos(x / np.sqrt(i)), axis=-1)
+        + np.add.reduce(x * x, axis=-1) / 4000.0
+        - np.multiply.reduce(np.cos(x / _sqrt_index(x.shape[-1])), axis=-1)
     )
 
 
-def paper_quadratic(x) -> float:
+def paper_quadratic(x) -> Union[np.float64, Array]:
     """(x1-1)^2 + (x2-2*x1)^2 + (x3-3*x2)^2 on exactly 3 coordinates.
 
     Unconstrained minimum 0 at (1, 2, 6); on the customary box

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import get_benchmark, list_benchmarks
-from .core import ObjectiveFn, RandomSource, SearchSpace, StaParams, _real
+from .core import ObjectiveFn, RandomSource, SearchSpace, StaParams, _quoted, _real
 from .engine import RunAborted, sta_run
-from .expressions import ExpressionError, _quoted, parse_expression
+from .expressions import ExpressionError, parse_expression
 
 
 class CliError(ValueError):
@@ -186,7 +186,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
             if not isinstance(seeds, list) or not seeds:
                 raise CliError(
                     f"config file {args.config}: seeds must be a non-empty list "
-                    f"of integers, got {seeds!r}"
+                    f"of integers, got {_quoted(seeds)}"
                 )
             argv = [f"--seed={json.dumps(s)}" for s in seeds] + argv
         parser.exit_on_error = False

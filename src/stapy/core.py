@@ -29,6 +29,16 @@ ObjectiveFn = Callable[[Array], float]
 EPS = float(np.finfo(np.float64).eps)
 
 
+def _quoted(value) -> str:
+    """``value`` for a message: a text quoted and cut to 20 characters with ``...``,
+    anything else by its repr cut to 40 (every float repr fits)."""
+    if isinstance(value, int) and value.bit_length() > 128:  # repr raises past 4,300 digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    text, width = (value, 20) if isinstance(value, str) else (repr(value), 40)
+    text = text if len(text) <= width else text[:width] + "..."
+    return repr(text) if isinstance(value, str) else text
+
+
 def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
     """``value`` as an int in ``[low, high)``; a float counts only if integral, never truncated."""
     if isinstance(value, (float, np.floating)):
@@ -36,7 +46,7 @@ def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
     else:
         count = operator.index(value)  # ints and numpy integers; a TypeError for the rest
     if count is None or not low <= count < high:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {_quoted(value)}")
     return count
 
 
@@ -47,7 +57,7 @@ def _real(value, name: str, above: float = -math.inf) -> float:
     except OverflowError:  # an int beyond the float range
         real = math.inf
     if not above < real < math.inf:
-        raise ValueError(f"{name} must be finite and > {above}, got {value!r}")
+        raise ValueError(f"{name} must be finite and > {above}, got {_quoted(value)}")
     return real
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, _count
+from .core import Array, _count, _quoted
 
 __all__ = ["ExpressionError", "CompiledExpression", "parse_expression"]
 
@@ -49,11 +49,6 @@ class ExpressionError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
-
-
-def _quoted(text: str) -> str:
-    """``text`` quoted for a message, cut to 20 characters with ``...``."""
-    return repr(text if len(text) <= 20 else text[:20] + "...")
 
 
 class _Token:

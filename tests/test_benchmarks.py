@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stapy.benchmarks import (
+    _sqrt_index,
     get_benchmark,
     griewank,
     list_benchmarks,
@@ -117,6 +118,58 @@ def test_batch_rows_equal_scalar_calls(fn, dim):
     assert batch.shape == (40,)
     for i in range(40):
         assert batch[i] == fn(rows[i])
+
+
+# The formulas as first written: np.sum, np.prod and a fresh np.arange per call.
+TEXTBOOK = {
+    sphere: lambda x: np.sum(x * x, axis=-1),
+    rosenbrock: lambda x: np.sum(
+        100.0 * (x[..., 1:] - x[..., :-1] * x[..., :-1]) ** 2 + (1.0 - x[..., :-1]) ** 2,
+        axis=-1,
+    ),
+    rastrigin: lambda x: 10.0 * x.shape[-1]
+    + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1),
+    griewank: lambda x: 1.0
+    + np.sum(x * x, axis=-1) / 4000.0
+    - np.prod(np.cos(x / np.sqrt(np.arange(1, x.shape[-1] + 1, dtype=float))), axis=-1),
+}
+
+HOSTILE = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324]
+
+
+def test_builtin_objectives_equal_their_textbook_form_bit_for_bit():
+    rng = RandomSource(13)
+    for n in (1, 2, 3, 10, 100):
+        point = rng.uniform(-600.0, 600.0, n)
+        batch = rng.uniform(-5.0, 5.0, (7, n))
+        nested = rng.uniform(-50.0, 50.0, (2, 3, n))
+        hostile = rng.uniform(-1.0, 1.0, (len(HOSTILE), n))
+        hostile[np.arange(len(HOSTILE)), rng.integers(n, len(HOSTILE)) - 1] = HOSTILE
+        hostile_nested = np.where(
+            rng.uniform(0.0, 1.0, (4, 5, n)) < 0.3,
+            np.array(HOSTILE)[rng.integers(len(HOSTILE), (4, 5, n)) - 1],
+            rng.uniform(-600.0, 600.0, (4, 5, n)),
+        )
+        for fn, textbook in TEXTBOOK.items():
+            assert type(fn(point)) is np.float64
+            assert fn(point) == textbook(point)
+            for x in (batch, nested):
+                assert np.array_equal(fn(x), textbook(x))
+            with np.errstate(all="ignore"):
+                for x in (hostile, hostile_nested):
+                    got, want = fn(x), textbook(x)
+                    assert got.shape == want.shape == x.shape[:-1]
+                    assert np.array_equal(got, want, equal_nan=True), (fn.__name__, n)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # griewank's divisors: computed once per dimension, read-only, in a bounded table.
+    divisors = _sqrt_index(10)
+    assert divisors is _sqrt_index(10)
+    assert not divisors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        divisors[0] = 2.0
+    for n in range(1, 500):
+        griewank(np.zeros(n))
+    assert _sqrt_index.cache_info().currsize <= _sqrt_index.cache_info().maxsize < 500
 
 
 # --------------------------------------------------------------- registry

@@ -256,6 +256,15 @@ def test_config_file_value_is_typed_like_its_flag(tmp_path, capsys, entry):
     assert err.startswith("error: ") and err.count("\n") == 1, "one-line message"
 
 
+def test_config_file_long_seeds_value_is_one_short_line(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, "seeds": "x" * 100_000}))
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 400
+
+
 def test_config_file_null_is_absent_and_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(

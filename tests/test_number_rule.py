@@ -148,6 +148,21 @@ def test_every_site_accepts_exactly_what_the_rule_accepts(site, value):
         assert type(used) is int and used == int(value)
 
 
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("seed", lambda v: RandomSource(v)),
+        ("gamma", lambda v: StaParams(gamma=v)),
+        ("fc", lambda v: StaParams(fc=-v)),
+    ],
+)
+def test_a_huge_int_is_named_in_a_short_message(name, call):
+    # repr of an int past 4,300 digits raises; the message must still name the argument.
+    with pytest.raises(ValueError, match=f"^{name} must be ") as err:
+        call(10**5000)
+    assert len(str(err.value)) < 200
+
+
 def test_sta_run_rejects_a_nan_target_before_evaluating():
     counter = CallCounter(sphere)
     space = SearchSpace.uniform(2, -1.0, 1.0)
