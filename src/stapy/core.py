@@ -51,7 +51,9 @@ def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
 
 
 def _real(value, name: str, above: float = -math.inf) -> float:
-    """``value`` as a finite float greater than ``above``."""
+    """``value`` (an int, a float or a numpy number) as a finite float greater than ``above``."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a real number, got {_quoted(value)}")
     try:
         real = float(value)
     except OverflowError:  # an int beyond the float range

@@ -14,14 +14,19 @@ never appears at runtime, only its four concrete instances from
 
 Raw out-of-box samples are never evaluated: projection clamps them in place
 before every fitness call, a NaN coordinate to its lower bound.  The
-incumbent's fitness is cached in its :class:`~stapy.core.Solution`, so a
-phase costs exactly ``se`` evaluations, plus ``se`` more if its translation
-fires.  Non-finite values follow one rule: they count as +inf, and +inf
-never wins a strict comparison.
+incumbent's fitness is kept with its coordinates, so a phase costs exactly
+``se`` evaluations, plus ``se`` more if its translation fires.  Non-finite
+values follow one rule: they count as +inf, and +inf never wins a strict
+comparison.
+
+:func:`sta_run`'s loop runs on plain arrays through private kernels that
+check nothing (the samplers' own, ``_clamp``, ``_best`` and ``_phase``);
+the public functions validate their arguments once, then call the same ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Union
 
@@ -40,7 +45,7 @@ from .core import (
     _real,
     evaluate_batch,
 )
-from .operators import op_axes, op_expand, op_rotate, op_translate
+from .operators import _as_state, _axes, _expand, _rotate, _translate
 
 __all__ = [
     "PhaseKind",
@@ -101,7 +106,7 @@ def initialize(
     :class:`EvaluationError`: when no initial point has a finite value.
     """
     u = rng.uniform(0.0, 1.0, (_count(se, "se"), space.dim))
-    best = select_best(objective, space.lower + u * (space.upper - space.lower))
+    best = Solution(*_best(objective, space.lower + u * (space.upper - space.lower)))
     if best.fitness == np.inf:
         raise EvaluationError("objective is non-finite at every initial point")
     return best
@@ -115,6 +120,10 @@ def project(batch: Array, space: SearchSpace) -> Array:
     batch = np.asarray(batch, dtype=float)
     if batch.shape[-1] != space.dim:
         raise ValueError(f"batch rows have length {batch.shape[-1]}, space has dim {space.dim}")
+    return _clamp(batch, space)
+
+
+def _clamp(batch: Array, space: SearchSpace) -> Array:
     np.fmax(batch, space.lower, out=batch)
     return np.fmin(batch, space.upper, out=batch)
 
@@ -130,10 +139,16 @@ def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     batch = np.asarray(batch, dtype=float)
     if batch.size == 0:
         raise ValueError(f"batch must be a non-empty 2-D array, got shape {batch.shape}")
+    return Solution(*_best(objective, batch))
+
+
+def _best(objective: ObjectiveFn, batch: Array) -> tuple[Array, float]:
     values = evaluate_batch(objective, batch)
-    values = np.where(np.isfinite(values), values, np.inf)
-    g = int(np.argmin(values))
-    return Solution(batch[g], float(values[g]))
+    g = int(values.argmin())  # the first NaN if any, else the first -inf, else the minimum
+    if not math.isfinite(values[g]):
+        values = np.where(np.isfinite(values), values, np.inf)
+        g = int(values.argmin())
+    return batch[g], float(values[g])
 
 
 def greedy_update(incumbent: Solution, candidate: Solution) -> Solution:
@@ -163,25 +178,29 @@ def phase(
     Returned fitness never exceeds the input fitness and the returned
     coordinates are always feasible.
     """
+    x = _as_state(incumbent.coords, "best")
+    if x.size != space.dim:
+        raise ValueError(f"incumbent has length {x.size}, space has dim {space.dim}")
     if kind == "expansion":
-        batch = op_expand(incumbent.coords, params.se, params.gamma, rng)
+        batch = _expand(x, params.se, params.gamma, rng)
     elif kind == "rotation":
-        radius = params.alpha_max if alpha is None else alpha
-        batch = op_rotate(incumbent.coords, params.se, radius, rng)
+        radius = params.alpha_max if alpha is None else _real(alpha, "alpha", 0.0)
+        batch = _rotate(x, params.se, radius, rng)
     elif kind == "axesion":
-        batch = op_axes(incumbent.coords, params.se, params.delta, rng)
+        batch = _axes(x, params.se, params.delta, rng)
     else:
         raise ValueError(f"unknown phase kind {kind!r}")
+    coords, fitness = _phase(objective, space, x, incumbent.fitness, batch, params, rng)
+    return incumbent if coords is x else Solution(coords, fitness)
 
-    candidate = select_best(objective, project(batch, space))
-    if not candidate.fitness < incumbent.fitness:
-        return incumbent
 
-    chase = op_translate(
-        incumbent.coords, candidate.coords, params.se, params.beta, rng
-    )
-    chased = select_best(objective, project(chase, space))
-    return greedy_update(candidate, chased)
+def _phase(objective, space, x, fx, batch, params, rng) -> tuple[Array, float]:
+    # The rest of a phase once its sampler has drawn ``batch`` around (x, fx).
+    y, fy = _best(objective, _clamp(batch, space))
+    if not fy < fx:
+        return x, fx
+    z, fz = _best(objective, _clamp(_translate(x, y, params.se, params.beta, rng), space))
+    return (z, fz) if fz < fy else (y, fy)
 
 
 def sta_run(
@@ -229,38 +248,31 @@ def sta_run(
         rng = RandomSource(0 if rng is None else rng)
     counting = CallCounter(objective)
 
-    def partial_result(best: Optional[Solution], history: list) -> Optional[RunResult]:
-        if best is None:
-            return None
-        return RunResult(
-            best=best.coords,
-            fbest=best.fitness,
-            history=np.asarray(history, dtype=float),
-            evaluations=counting.count,
-            seed=rng.seed,
-        )
+    def result() -> RunResult:  # best, fbest, history, evaluations, seed
+        return RunResult(x, fx, np.asarray(history, dtype=float), counting.count, rng.seed)
 
-    best: Optional[Solution] = None
+    x: Optional[Array] = None
     history: list[float] = []
     try:
         best = initialize(space, params.se, rng, counting)
+        x, fx, se = best.coords, best.fitness, params.se
         alpha = params.alpha_max
         for iteration in range(1, params.iterations + 1):
             if alpha < params.alpha_min:
                 alpha = params.alpha_max
-            incumbent = best  # ``best`` moves once per iteration, in step with history
-            for kind in PHASE_ORDER:
-                incumbent = phase(kind, counting, space, incumbent, params, rng, alpha=alpha)
-            best = incumbent
-            history.append(best.fitness)
+            y, fy = _phase(counting, space, x, fx, _expand(x, se, params.gamma, rng), params, rng)
+            y, fy = _phase(counting, space, y, fy, _rotate(y, se, alpha, rng), params, rng)
+            y, fy = _phase(counting, space, y, fy, _axes(y, se, params.delta, rng), params, rng)
+            x, fx = y, fy  # the incumbent moves once per iteration, in step with history
+            history.append(fx)
             if observer is not None:
-                observer(RunState(best, alpha, iteration, counting.count))
+                observer(RunState(Solution(x, fx), alpha, iteration, counting.count))
             alpha = alpha / params.fc
-            if target_fitness is not None and best.fitness <= target_fitness:
+            if target_fitness is not None and fx <= target_fitness:
                 break
     except Exception as err:
         raise RunAborted(
             f"run aborted after {len(history)} completed iteration(s): {err}",
-            partial=partial_result(best, history),
+            partial=None if x is None else result(),
         ) from err
-    return partial_result(best, history)
+    return result()

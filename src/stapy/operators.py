@@ -13,10 +13,13 @@ are guarded with :data:`~stapy.core.EPS` so zero-norm states never divide by
 zero.
 
 Each sampler judges ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
-ValueError), and its step factor, a finite real > 0, before any draw.
+ValueError), and its step factor, a finite real > 0, before any draw, then
+calls its private kernel (``_rotate`` and so on), as the engine's loop does.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,10 +51,12 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     Draws: one uniform[-1, 1] block of shape ``(se, n, n)``, in row chunks of
     about 512 KiB (or one matrix), so peak memory is one chunk, not the block.
     """
-    best = _as_state(best, "best")
-    se, alpha = _count(se, "se"), _real(alpha, "alpha", 0.0)
+    return _rotate(_as_state(best, "best"), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
+
+
+def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
-    coef = alpha / (n * (np.linalg.norm(best) + EPS))
+    coef = alpha / (n * (math.sqrt(best.dot(best)) + EPS))  # np.linalg.norm's bits
     k = min(se, max(1, _CHUNK_BYTES // (8 * n * n)))
     buf, steps = np.empty((k, n, n)), np.empty((se, n))
     for s in range(0, se, k):
@@ -75,9 +80,12 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
     new_best = _as_state(new_best, "new_best")
     if old_best.shape != new_best.shape:
         raise ValueError("old_best and new_best must have the same length")
-    se, beta = _count(se, "se"), _real(beta, "beta", 0.0)
+    return _translate(old_best, new_best, _count(se, "se"), _real(beta, "beta", 0.0), rng)
+
+
+def _translate(old_best: Array, new_best: Array, se: int, beta: float, rng: RandomSource) -> Array:
     diff = new_best - old_best
-    direction = diff / (np.linalg.norm(diff) + EPS)
+    direction = diff / (math.sqrt(diff.dot(diff)) + EPS)
     steps = beta * rng.uniform(0.0, 1.0, se)
     return new_best + steps[:, None] * direction
 
@@ -91,10 +99,11 @@ def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:
 
     Draws: one standard-normal block of shape ``(se, n)``.
     """
-    best = _as_state(best, "best")
-    se, gamma = _count(se, "se"), _real(gamma, "gamma", 0.0)
-    gains = rng.normal((se, best.size))
-    return best + gamma * gains * best
+    return _expand(_as_state(best, "best"), _count(se, "se"), _real(gamma, "gamma", 0.0), rng)
+
+
+def _expand(best: Array, se: int, gamma: float, rng: RandomSource) -> Array:
+    return best + gamma * rng.normal((se, best.size)) * best
 
 
 def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
@@ -107,8 +116,10 @@ def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
     Draws: one uniform-integer vector on {1..n} of shape ``(se,)``, then one
     standard-normal vector of shape ``(se,)``.
     """
-    best = _as_state(best, "best")
-    se, delta = _count(se, "se"), _real(delta, "delta", 0.0)
+    return _axes(_as_state(best, "best"), _count(se, "se"), _real(delta, "delta", 0.0), rng)
+
+
+def _axes(best: Array, se: int, delta: float, rng: RandomSource) -> Array:
     axes = rng.integers(best.size, size=se) - 1
     gains = rng.normal(se)
     rows = np.repeat(best[None, :], se, axis=0)

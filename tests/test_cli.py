@@ -265,6 +265,32 @@ def test_config_file_long_seeds_value_is_one_short_line(tmp_path, capsys):
     assert len(err.encode()) < 400
 
 
+TYPED_FLAGS = (
+    "--dim", "--iterations", "--se", "--seed", "--alpha-max", "--alpha-min",
+    "--beta", "--gamma", "--delta", "--fc", "--target-fitness",
+)
+
+
+@pytest.mark.parametrize("flag", TYPED_FLAGS + ("config",))
+def test_bad_typed_value_is_one_short_line(tmp_path, capsys, flag):
+    args = ["--function", "sphere", "--dim", "2"]
+    if flag == "config":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gamma": "x" * 100_000}))
+        args += ["--config", str(cfg)]
+    else:
+        args += [flag, "x" * 100_000]
+    try:
+        code = main(args)
+    except SystemExit as exit_:  # a bad flag is argparse's error
+        code = exit_.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 400
+    assert "invalid " in captured.err and "xxxxxxxxxxxxxxxxxxxx..." in captured.err
+
+
 def test_config_file_null_is_absent_and_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(

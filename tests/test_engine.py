@@ -135,14 +135,29 @@ def test_select_best_all_non_finite_gives_row_zero_at_inf():
 
 
 def test_select_best_equals_exhaustive_scan():
-    source = rng(77)
-    for _ in range(50):
+    """Rastrigin batches, then batches with NaN, +inf and -inf planted at drawn
+    rows: before, at and after the finite minimum, or in every row."""
+    source, draw = rng(77), np.random.default_rng(77)
+    for trial in range(250):
         batch = source.uniform(-5.12, 5.12, (30, 10))
-        sol = select_best(rastrigin, batch)
-        values = [float(rastrigin(row)) for row in batch]
-        g = int(np.argmin(values))
+        values = np.array([float(rastrigin(row)) for row in batch])
+        objective = rastrigin
+        if trial >= 50:
+            m = int(np.argmin(values))
+            rows = [draw.integers(0, m + 1), m, draw.integers(m, 30), *draw.integers(0, 30, 3)]
+            if trial % 10 == 0:
+                rows = np.arange(30)
+            else:
+                rows = draw.choice(rows, draw.integers(1, len(rows) + 1), replace=False)
+            kinds = [[np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]][draw.integers(4)]
+            values[rows] = draw.choice(kinds, len(rows))
+            objective = lambda x, values=values: values.copy()  # noqa: E731
+            objective.supports_batch = True
+        sol = select_best(objective, batch)
+        masked = np.where(np.isfinite(values), values, np.inf)
+        g = int(np.argmin(masked))
         assert np.array_equal(sol.coords, batch[g])
-        assert sol.fitness == values[g]
+        assert sol.fitness == masked[g]
 
 
 def test_select_best_rejects_empty_or_1d():
@@ -256,6 +271,29 @@ def test_phase_non_finite_translation_batch_keeps_the_candidate():
 
 
 # ---------------------------------------------------------------- sta_run
+
+
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
+def test_public_initialize_and_phase_replay_sta_run(n, batch):
+    """The public pieces run the loop's own kernels: driven by hand with the
+    alpha schedule, they give sta_run's result bit for bit."""
+    objective = rastrigin if batch else (lambda x: rastrigin(x))
+    space, params = SearchSpace.uniform(n, -5.12, 5.12), StaParams(iterations=100)
+    source, counting = rng(8), CallCounter(objective)
+    best = initialize(space, params.se, source, counting)
+    alpha, history = params.alpha_max, []
+    for _ in range(params.iterations):  # alpha resets after 14 halvings
+        if alpha < params.alpha_min:
+            alpha = params.alpha_max
+        for kind in PHASE_ORDER:
+            best = phase(kind, counting, space, best, params, source, alpha=alpha)
+        history.append(best.fitness)
+        alpha /= params.fc
+    result = sta_run(objective, space, params, rng=8)
+    assert np.array_equal(result.best, best.coords) and result.fbest == best.fitness
+    assert np.array_equal(result.history, history)
+    assert result.evaluations == counting.count
 
 
 def test_sta_run_single_iteration():

@@ -4,7 +4,8 @@ A count (``se``, ``iterations``, ``dim``, a seed) is an int, numpy integers
 included, or a float with no fractional part, inside its range; it is used
 as exactly ``int(value)``, never truncated.  A real (an operator factor, a
 ``StaParams`` constant, ``target_fitness``) is a finite float above its
-floor.  Anything else raises ``ValueError`` before any random draw.
+floor.  Any other number raises ``ValueError``, and text (even ``"2.5"``)
+raises ``TypeError`` in a short message, before any random draw.
 """
 
 import math
@@ -109,10 +110,12 @@ PLAIN = st.one_of(
     st.floats(),
 )
 NUMBERS = st.one_of(PLAIN, st.tuples(PLAIN, st.booleans()).map(lambda t: _numpy(*t)))
+# Text is no number, even when it reads as one: TypeError, in a short message.
+TEXTS = st.sampled_from(["2.5", "3", "x" * 100_000])
 
 
 @settings(deadline=None, max_examples=400)
-@given(site=st.sampled_from(sorted(SITES)), value=NUMBERS)
+@given(site=st.sampled_from(sorted(SITES)), value=st.one_of(NUMBERS, TEXTS))
 @example(site="op_axes.se", value=3.9)
 @example(site="default_box.dim", value=2.7)
 @example(site="parse_expression.dim", value=2.7)
@@ -126,9 +129,14 @@ NUMBERS = st.one_of(PLAIN, st.tuples(PLAIN, st.booleans()).map(lambda t: _numpy(
 @example(site="RandomSource.seed", value=-1)
 @example(site="StaParams.iterations", value=10**309)
 @example(site="sta_run.target_fitness", value=math.nan)
+@example(site="StaParams.gamma", value="2.5")
+@example(site="StaParams.gamma", value="x" * 100_000)
+@example(site="op_rotate.factor", value="x" * 100_000)
 def test_every_site_accepts_exactly_what_the_rule_accepts(site, value):
     call, rule, shown = SITES[site]
-    if rule[0] == "count":
+    if isinstance(value, str):
+        accepted = False
+    elif rule[0] == "count":
         _, low, high, allocates = rule
         accepted = is_count(value, low, high)
         assume(not (allocates and accepted and int(value) > 50))
@@ -137,8 +145,11 @@ def test_every_site_accepts_exactly_what_the_rule_accepts(site, value):
 
     rng = RandomSource(11)
     if not accepted:
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError if isinstance(value, str) else ValueError) as err:
             call(value, rng)
+        assert len(str(err.value)) < 200
+        if isinstance(value, str) and rule[0] == "real":
+            assert " must be a real number, got '" in str(err.value)
         assert rng.uniform(0.0, 1.0) == RandomSource(11).uniform(0.0, 1.0), "drew before rejecting"
         return
     with np.errstate(over="ignore"):  # a factor near 1e308 may overflow a sample to +-inf
