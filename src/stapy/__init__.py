@@ -31,14 +31,10 @@ from .core import (
     evaluate_batch,
 )
 from .engine import (
-    PHASE_ORDER,
     EvaluationError,
     RunAborted,
     RunState,
-    greedy_update,
     initialize,
-    phase,
-    project,
     select_best,
     sta_run,
 )
@@ -54,7 +50,6 @@ __all__ = [
     "EPS",
     "EvaluationError",
     "ExpressionError",
-    "PHASE_ORDER",
     "RandomSource",
     "RunAborted",
     "RunResult",
@@ -64,7 +59,6 @@ __all__ = [
     "StaParams",
     "evaluate_batch",
     "get_benchmark",
-    "greedy_update",
     "griewank",
     "initialize",
     "list_benchmarks",
@@ -74,8 +68,6 @@ __all__ = [
     "op_translate",
     "paper_quadratic",
     "parse_expression",
-    "phase",
-    "project",
     "rastrigin",
     "rosenbrock",
     "select_best",

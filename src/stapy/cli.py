@@ -182,7 +182,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """
     parser = build_parser()
     argv = _normalize_argv(parser, sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # argparse's own message quotes every extra token in full
+        parser.error(f"{len(extra)} unrecognized argument(s), the first {_quoted(extra[0])}")
     file_cfg = _load_config_file(args.config) if args.config else {}
     if file_cfg:
         parser.set_defaults(

@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -41,10 +40,9 @@ def _quoted(value) -> str:
 
 def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
     """``value`` as an int in ``[low, high)``; a float counts only if integral, never truncated."""
-    if isinstance(value, (float, np.floating)):
-        count = int(value) if value.is_integer() else None
-    else:
-        count = operator.index(value)  # ints and numpy integers; a TypeError for the rest
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be an integer, got {_quoted(value)}")
+    count = int(value) if isinstance(value, (int, np.integer)) or value.is_integer() else None
     if count is None or not low <= count < high:
         raise ValueError(f"{name} must be an integer in [{low}, {high}), got {_quoted(value)}")
     return count

@@ -20,15 +20,16 @@ values follow one rule: they count as +inf, and +inf never wins a strict
 comparison.
 
 :func:`sta_run`'s loop runs on plain arrays through private kernels that
-check nothing (the samplers' own, ``_clamp``, ``_best`` and ``_phase``);
-the public functions validate their arguments once, then call the same ones.
+check nothing (the samplers' own, ``_clamp``, ``_best`` and ``_phase``).
+Only :func:`initialize` and :func:`select_best` wrap a kernel in public:
+they validate their arguments once, then call ``_best``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -45,25 +46,9 @@ from .core import (
     _real,
     evaluate_batch,
 )
-from .operators import _as_state, _axes, _expand, _rotate, _translate
+from .operators import _axes, _expand, _rotate, _translate
 
-__all__ = [
-    "PhaseKind",
-    "RunState",
-    "EvaluationError",
-    "RunAborted",
-    "initialize",
-    "project",
-    "select_best",
-    "greedy_update",
-    "phase",
-    "sta_run",
-]
-
-PhaseKind = Literal["expansion", "rotation", "axesion"]
-
-#: Phase execution order within one outer iteration.
-PHASE_ORDER: tuple[PhaseKind, ...] = ("expansion", "rotation", "axesion")
+__all__ = ["RunState", "EvaluationError", "RunAborted", "initialize", "select_best", "sta_run"]
 
 
 class EvaluationError(RuntimeError):
@@ -112,17 +97,6 @@ def initialize(
     return best
 
 
-def project(batch: Array, space: SearchSpace) -> Array:
-    """Clamp every sample into the box in place (a non-float input is copied first).
-
-    A NaN coordinate goes to its lower bound, so no sample leaves the box.
-    """
-    batch = np.asarray(batch, dtype=float)
-    if batch.shape[-1] != space.dim:
-        raise ValueError(f"batch rows have length {batch.shape[-1]}, space has dim {space.dim}")
-    return _clamp(batch, space)
-
-
 def _clamp(batch: Array, space: SearchSpace) -> Array:
     np.fmax(batch, space.lower, out=batch)
     return np.fmin(batch, space.upper, out=batch)
@@ -131,10 +105,10 @@ def _clamp(batch: Array, space: SearchSpace) -> Array:
 def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     """Row with the smallest objective value; ties go to the lowest index.
 
-    This is the one selection rule of the engine, used by :func:`initialize`
-    and by every phase.  A non-finite value counts as +inf, which never wins,
-    so a batch with no finite value gives row 0 at fitness ``inf``.  Raises
-    :class:`ValueError` on an empty or non-2-D batch.
+    This is the one selection rule of the engine (``_best``), used by
+    :func:`initialize` and by every phase.  A non-finite value counts as
+    +inf, which never wins, so a batch with no finite value gives row 0 at
+    fitness ``inf``.  Raises :class:`ValueError` on an empty or non-2-D batch.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.size == 0:
@@ -149,49 +123,6 @@ def _best(objective: ObjectiveFn, batch: Array) -> tuple[Array, float]:
         values = np.where(np.isfinite(values), values, np.inf)
         g = int(values.argmin())
     return batch[g], float(values[g])
-
-
-def greedy_update(incumbent: Solution, candidate: Solution) -> Solution:
-    """Keep the candidate only on strict fitness improvement."""
-    return candidate if candidate.fitness < incumbent.fitness else incumbent
-
-
-def phase(
-    kind: PhaseKind,
-    objective: ObjectiveFn,
-    space: SearchSpace,
-    incumbent: Solution,
-    params: StaParams,
-    rng: RandomSource,
-    alpha: Optional[float] = None,
-) -> Solution:
-    """One sampler application plus the conditional translation chase.
-
-    Samples ``se`` candidates with the operator for ``kind``, clamps them into
-    the box, and greedily updates the incumbent.  If and only if that
-    strictly improved the incumbent, a translation batch from the old to the
-    new incumbent is sampled, clamped, and greedily applied as well.
-
-    ``alpha`` is the current annealed rotation radius and defaults to
-    ``params.alpha_max``; it is ignored unless ``kind == "rotation"``.  A
-    batch with no finite value has fitness ``inf`` and never improves.
-    Returned fitness never exceeds the input fitness and the returned
-    coordinates are always feasible.
-    """
-    x = _as_state(incumbent.coords, "best")
-    if x.size != space.dim:
-        raise ValueError(f"incumbent has length {x.size}, space has dim {space.dim}")
-    if kind == "expansion":
-        batch = _expand(x, params.se, params.gamma, rng)
-    elif kind == "rotation":
-        radius = params.alpha_max if alpha is None else _real(alpha, "alpha", 0.0)
-        batch = _rotate(x, params.se, radius, rng)
-    elif kind == "axesion":
-        batch = _axes(x, params.se, params.delta, rng)
-    else:
-        raise ValueError(f"unknown phase kind {kind!r}")
-    coords, fitness = _phase(objective, space, x, incumbent.fitness, batch, params, rng)
-    return incumbent if coords is x else Solution(coords, fitness)
 
 
 def _phase(objective, space, x, fx, batch, params, rng) -> tuple[Array, float]:

@@ -291,6 +291,22 @@ def test_bad_typed_value_is_one_short_line(tmp_path, capsys, flag):
     assert "invalid " in captured.err and "xxxxxxxxxxxxxxxxxxxx..." in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra", [["x" * 100_000], ["--zz"] + ["x"] * 100_000], ids=["long", "many"]
+)
+def test_unrecognized_arguments_are_one_short_line(capsys, extra):
+    try:
+        code = main(["--function", "sphere", "--dim", "2", *extra])
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 400
+    first = f"the first '{extra[0][:20]}"
+    assert f"error: {len(extra)} unrecognized argument(s), {first}" in captured.err
+
+
 def test_config_file_null_is_absent_and_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(

@@ -1,22 +1,26 @@
-"""Loop semantics: initialization, projection, selection, phases, full runs."""
+"""Loop semantics: initialization, projection, selection, phases, full runs.
+
+Projection and phases are tested on the private kernels that ``sta_run``
+runs (``_clamp``, ``_phase`` and the samplers), as no public function
+wraps them.
+"""
 
 import numpy as np
 import pytest
 
 from stapy.benchmarks import rastrigin, sphere
-from stapy.core import CallCounter, RandomSource, SearchSpace, Solution, StaParams
+from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams
 from stapy.engine import (
-    PHASE_ORDER,
     EvaluationError,
     RunAborted,
-    greedy_update,
+    _clamp,
+    _phase,
     initialize,
-    phase,
-    project,
     select_best,
     sta_run,
 )
 from stapy.expressions import parse_expression
+from stapy.operators import _axes, _expand, _rotate
 
 
 def rng(seed=0):
@@ -73,30 +77,26 @@ def test_initialize_rejects_bad_se():
         initialize(SearchSpace.uniform(2, 0.0, 1.0), 0, rng(), sphere)
 
 
-# --------------------------------------------------------------- project
+# ------------------------------------------------------------ projection
 
 
 def test_project_clamps_to_rastrigin_box():
     space = SearchSpace.uniform(2, -5.12, 5.12)
-    out = project(np.array([[7.0, -7.0]]), space)
+    out = _clamp(np.array([[7.0, -7.0]]), space)
     assert np.array_equal(out, [[5.12, -5.12]])
 
 
 def test_project_identity_inside_and_on_bounds():
     space = SearchSpace.uniform(2, -1.0, 1.0)
     rows = np.array([[0.3, -0.4], [1.0, -1.0]])
-    assert np.array_equal(project(rows, space), [[0.3, -0.4], [1.0, -1.0]])
+    assert np.array_equal(_clamp(rows, space), [[0.3, -0.4], [1.0, -1.0]])
 
 
-def test_project_clamps_in_place_and_checks_dim():
+def test_project_clamps_in_place_and_sends_nan_to_the_lower_bound():
     space = SearchSpace.uniform(2, -1.0, 1.0)
-    rows = np.array([[5.0, 5.0]])
-    out = project(rows, space)
-    assert out is rows and rows[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        project(np.zeros((3, 4)), space)
-    with pytest.raises(ValueError, match="dim 1"):  # numpy would broadcast a 1-D box's bound
-        project(np.zeros((3, 4)), SearchSpace.uniform(1, -1.0, 1.0))
+    rows = np.array([[5.0, 5.0], [np.nan, -np.inf]])
+    out = _clamp(rows, space)
+    assert out is rows and np.array_equal(rows, [[1.0, 1.0], [-1.0, -1.0]])
 
 
 # ------------------------------------------------------------ select_best
@@ -167,27 +167,21 @@ def test_select_best_rejects_empty_or_1d():
         select_best(sphere, np.zeros(2))
 
 
-# ---------------------------------------------------------- greedy_update
-
-
-def test_greedy_update_strictness():
-    inc = Solution(np.zeros(1), 1.0)
-    assert greedy_update(inc, Solution(np.ones(1), 0.5)).fitness == 0.5
-    assert greedy_update(inc, Solution(np.ones(1), 1.0)) is inc
-    assert greedy_update(inc, Solution(np.ones(1), 2.0)) is inc
-
-
 # ----------------------------------------------------------------- phase
 
 
 def test_phase_no_improvement_skips_translation():
-    """An unbeatable incumbent costs exactly se evaluations (no chase)."""
+    """An unbeatable incumbent costs exactly se evaluations (no chase) and
+    comes back as the same object.  Every candidate at best ties the global
+    optimum, and a tie does not replace the incumbent: improvement is strict."""
     space = SearchSpace.uniform(2, -1.0, 1.0)
     counting = CallCounter(sphere)
-    incumbent = Solution(np.zeros(2), 0.0)  # global optimum
+    x = np.zeros(2)  # global optimum
     params = StaParams(se=30)
-    out = phase("expansion", counting, space, incumbent, params, rng())
-    assert out is incumbent
+    batch = _expand(x, params.se, params.gamma, rng())
+    batch[7] = 0.0  # one candidate equals the incumbent
+    out, fitness = _phase(counting, space, x, 0.0, batch, params, rng())
+    assert out is x and fitness == 0.0
     assert counting.count == 30
 
 
@@ -195,25 +189,24 @@ def test_phase_improvement_triggers_translation():
     """A strict improvement costs se (operator) + se (translation chase)."""
     space = SearchSpace.uniform(2, -5.0, 5.0)
     counting = CallCounter(sphere)
-    incumbent = Solution(np.array([1.0, 1.0]), 2.0)
-    params = StaParams(se=30)
+    x, params, source = np.array([1.0, 1.0]), StaParams(se=30), rng(4)
     # Rotation with alpha=1 around (1,1) improves with overwhelming probability.
-    out = phase("rotation", counting, space, incumbent, params, rng(4), alpha=1.0)
-    assert out.fitness < incumbent.fitness
+    batch = _rotate(x, params.se, 1.0, source)
+    out, fitness = _phase(counting, space, x, 2.0, batch, params, source)
+    assert fitness < 2.0 and fitness == sphere(out)
     assert counting.count == 60
-    assert space.contains(out.coords)
+    assert space.contains(out)
 
 
 def test_phase_improves_at_least_once_over_seeds():
     """On sphere from (1,1), rotation phases improve on most seeds."""
     space = SearchSpace.uniform(2, -5.0, 5.0)
-    incumbent = Solution(np.array([1.0, 1.0]), 2.0)
-    params = StaParams(se=30)
-    wins = sum(
-        phase("rotation", sphere, space, incumbent, params, rng(s)).fitness
-        < incumbent.fitness
-        for s in range(100)
-    )
+    x, params = np.array([1.0, 1.0]), StaParams(se=30)
+    wins = 0
+    for s in range(100):
+        source = rng(s)
+        batch = _rotate(x, params.se, params.alpha_max, source)
+        wins += _phase(sphere, space, x, 2.0, batch, params, source)[1] < 2.0
     assert wins >= 1
 
 
@@ -221,19 +214,19 @@ def test_phase_fitness_never_increases_and_stays_feasible():
     space = SearchSpace.uniform(3, -2.0, 2.0)
     params = StaParams(se=10)
     source = rng(21)
-    incumbent = initialize(space, 10, source, rastrigin)
+    best = initialize(space, 10, source, rastrigin)
+    x, fx = best.coords, best.fitness
+    samplers = (
+        lambda x: _expand(x, params.se, params.gamma, source),
+        lambda x: _rotate(x, params.se, 0.5, source),
+        lambda x: _axes(x, params.se, params.delta, source),
+    )
     for _ in range(20):
-        for kind in PHASE_ORDER:
-            nxt = phase(kind, rastrigin, space, incumbent, params, source, alpha=0.5)
-            assert nxt.fitness <= incumbent.fitness
-            assert space.contains(nxt.coords)
-            incumbent = nxt
-
-
-def test_phase_unknown_kind_and_unset_fitness():
-    space = SearchSpace.uniform(2, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        phase("spin", sphere, space, Solution(np.zeros(2), 0.0), StaParams(), rng())
+        for sample in samplers:
+            y, fy = _phase(rastrigin, space, x, fx, sample(x), params, source)
+            assert fy <= fx and fy == rastrigin(y)
+            assert space.contains(y)
+            x, fx = y, fy
 
 
 def test_phase_all_non_finite_batch_counts_as_no_improvement():
@@ -244,11 +237,10 @@ def test_phase_all_non_finite_batch_counts_as_no_improvement():
         x = np.asarray(x)
         return 0.25 if np.array_equal(x, home) else float("nan")
 
-    incumbent = Solution(home, 0.25)
-    out = phase(
-        "expansion", nan_away_from_home, space, incumbent, StaParams(se=5), rng(1)
-    )
-    assert out is incumbent, "an all-non-finite batch must not dethrone the incumbent"
+    params, source = StaParams(se=5), rng(1)
+    batch = _expand(home, params.se, params.gamma, source)
+    out, fitness = _phase(nan_away_from_home, space, home, 0.25, batch, params, source)
+    assert out is home and fitness == 0.25, "an all-non-finite batch must not win"
 
 
 def test_phase_non_finite_translation_batch_keeps_the_candidate():
@@ -262,38 +254,16 @@ def test_phase_non_finite_translation_batch_keeps_the_candidate():
         return seen[-1][1] if len(seen) <= params.se else float("nan")
 
     counting = CallCounter(finite_then_nan)
-    incumbent = Solution(np.array([1.0, 1.0]), 2.0)
-    out = phase("rotation", counting, space, incumbent, params, rng(4), alpha=1.0)
+    x, source = np.array([1.0, 1.0]), rng(4)
+    batch = _rotate(x, params.se, 1.0, source)
+    out, fitness = _phase(counting, space, x, 2.0, batch, params, source)
     assert counting.count == 2 * params.se
-    coords, fitness = min(seen[: params.se], key=lambda pair: pair[1])
-    assert out.fitness == fitness < incumbent.fitness
-    assert np.array_equal(out.coords, coords)
+    coords, best = min(seen[: params.se], key=lambda pair: pair[1])
+    assert fitness == best < 2.0
+    assert np.array_equal(out, coords)
 
 
 # ---------------------------------------------------------------- sta_run
-
-
-@pytest.mark.parametrize("n", [2, 10])
-@pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
-def test_public_initialize_and_phase_replay_sta_run(n, batch):
-    """The public pieces run the loop's own kernels: driven by hand with the
-    alpha schedule, they give sta_run's result bit for bit."""
-    objective = rastrigin if batch else (lambda x: rastrigin(x))
-    space, params = SearchSpace.uniform(n, -5.12, 5.12), StaParams(iterations=100)
-    source, counting = rng(8), CallCounter(objective)
-    best = initialize(space, params.se, source, counting)
-    alpha, history = params.alpha_max, []
-    for _ in range(params.iterations):  # alpha resets after 14 halvings
-        if alpha < params.alpha_min:
-            alpha = params.alpha_max
-        for kind in PHASE_ORDER:
-            best = phase(kind, counting, space, best, params, source, alpha=alpha)
-        history.append(best.fitness)
-        alpha /= params.fc
-    result = sta_run(objective, space, params, rng=8)
-    assert np.array_equal(result.best, best.coords) and result.fbest == best.fitness
-    assert np.array_equal(result.history, history)
-    assert result.evaluations == counting.count
 
 
 def test_sta_run_single_iteration():

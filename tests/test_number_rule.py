@@ -148,8 +148,9 @@ def test_every_site_accepts_exactly_what_the_rule_accepts(site, value):
         with pytest.raises(TypeError if isinstance(value, str) else ValueError) as err:
             call(value, rng)
         assert len(str(err.value)) < 200
-        if isinstance(value, str) and rule[0] == "real":
-            assert " must be a real number, got '" in str(err.value)
+        if isinstance(value, str):
+            kind = "a real number" if rule[0] == "real" else "an integer"
+            assert f" must be {kind}, got '" in str(err.value)
         assert rng.uniform(0.0, 1.0) == RandomSource(11).uniform(0.0, 1.0), "drew before rejecting"
         return
     with np.errstate(over="ignore"):  # a factor near 1e308 may overflow a sample to +-inf
