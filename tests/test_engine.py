@@ -167,6 +167,23 @@ def test_select_best_rejects_empty_or_1d():
         select_best(sphere, np.zeros(2))
 
 
+def test_greedy_update_strictness():
+    """A phase keeps its candidate only on strict improvement: against an
+    incumbent at 1.0, a candidate at 0.5 wins, one at 1.0 or 2.0 does not."""
+    space = SearchSpace.uniform(1, -2.0, 2.0)
+    x, candidate, params = np.zeros(1), np.ones(1), StaParams(se=1)
+    for value, wins in ((0.5, True), (1.0, False), (2.0, False)):
+
+        def scripted(p):
+            return value if np.array_equal(p, candidate) else 3.0
+
+        out, fitness = _phase(scripted, space, x, 1.0, candidate[None, :].copy(), params, rng())
+        if wins:
+            assert fitness == 0.5 and np.array_equal(out, candidate)
+        else:
+            assert out is x and fitness == 1.0
+
+
 # ----------------------------------------------------------------- phase
 
 
