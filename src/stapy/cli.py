@@ -44,17 +44,12 @@ _PARAM_KEYS = tuple(f.name for f in fields(StaParams))
 _CONFIG_KEYS = ("function", "dim", "bounds", "seeds", "target_fitness", "out_json", "out_csv") + _PARAM_KEYS
 
 
-def _typed(kind: type):
-    def parse(text: str):  # kind(text), or a message that quotes the text cut short
-        try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_quoted(text)}")
-    return parse
+def _line(message: str) -> str:  # one line; past 300 characters, its first and last 150
+    message = message.replace("\n", " ")
+    return message if len(message) <= 300 else f"{message[:150]}...{message[-150:]}"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    integer, real = _typed(int), _typed(float)
     parser = argparse.ArgumentParser(
         prog="stapy",
         description="Minimize a benchmark or expression objective over a box "
@@ -65,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered benchmark name (%s) or an expression in x1..xn"
         % ", ".join(list_benchmarks()),
     )
-    parser.add_argument("--dim", type=integer, help="number of decision variables")
+    parser.add_argument("--dim", type=int, help="number of decision variables")
     parser.add_argument(
         "--bounds",
         help="uniform per-coordinate bounds as LO,HI (e.g. --bounds -5.12,5.12)",
@@ -75,28 +70,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a text file with one 'LO,HI' (or 'LO HI') line per coordinate",
     )
     parser.add_argument("--config", help="JSON config file; CLI flags override it")
-    parser.add_argument("--iterations", type=integer, help="outer-loop budget (default 1000)")
-    parser.add_argument("--se", type=integer, help="samples per operator application (default 30)")
-    parser.add_argument("--alpha-max", type=real, help="initial rotation radius (default 1)")
-    parser.add_argument("--alpha-min", type=real, help="radius reset threshold (default 1e-4)")
-    parser.add_argument("--beta", type=real, help="translation step cap (default 1)")
-    parser.add_argument("--gamma", type=real, help="expansion scale (default 1)")
-    parser.add_argument("--delta", type=real, help="axis perturbation scale (default 1)")
-    parser.add_argument("--fc", type=real, help="rotation radius decay base (default 2)")
+    parser.add_argument("--iterations", type=int, help="outer-loop budget (default 1000)")
+    parser.add_argument("--se", type=int, help="samples per operator application (default 30)")
+    parser.add_argument("--alpha-max", type=float, help="initial rotation radius (default 1)")
+    parser.add_argument("--alpha-min", type=float, help="radius reset threshold (default 1e-4)")
+    parser.add_argument("--beta", type=float, help="translation step cap (default 1)")
+    parser.add_argument("--gamma", type=float, help="expansion scale (default 1)")
+    parser.add_argument("--delta", type=float, help="axis perturbation scale (default 1)")
+    parser.add_argument("--fc", type=float, help="rotation radius decay base (default 2)")
     parser.add_argument(
         "--seed",
-        type=integer,
+        type=int,
         action="append",
         help="random seed; repeat the flag to batch several runs (default 0)",
     )
     parser.add_argument(
         "--target-fitness",
-        type=real,
+        type=float,
         help="optional early stop once the incumbent fitness is <= this value",
     )
     parser.add_argument("--out-json", help="write a JSON summary array to this path")
     parser.add_argument("--out-csv", help="write a seed,iteration,fbest history CSV to this path")
-    parser.error = lambda message: parser.exit(2, f"error: {message}\n")  # one line, no usage
+    parser.error = lambda message: parser.exit(2, f"error: {_line(message)}\n")  # no usage
     return parser
 
 
@@ -122,7 +117,7 @@ def _load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as err:
-        raise CliError(f"cannot read config file {path}: {err}") from err
+        raise CliError(f"cannot read config file {path}: {err.strerror}") from err
     except (ValueError, RecursionError) as err:
         raise CliError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
@@ -139,8 +134,8 @@ def _read_bounds_file(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
-    except (OSError, UnicodeDecodeError) as err:
-        raise CliError(f"cannot read bounds file {path}: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:  # an OSError's strerror omits the path
+        raise CliError(f"cannot read bounds file {path}: {getattr(err, 'strerror', err)}") from err
     return [line for line in lines if line and not line.startswith("#")]
 
 
@@ -348,7 +343,7 @@ def run_command(config: RunConfig) -> int:
         try:
             _write_text(path, text)
         except OSError as err:
-            print(f"error: cannot write {path}: {err}", file=sys.stderr)
+            print(f"error: {_line(f'cannot write {path}: {err.strerror}')}", file=sys.stderr)
             try:
                 os.remove(path)
             except OSError:
@@ -361,12 +356,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(argv)
     except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_line(str(err))}", file=sys.stderr)
         return 2
     try:
         return run_command(config)
     except RunAborted as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_line(str(err))}", file=sys.stderr)
         return 1
 
 

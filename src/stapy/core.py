@@ -9,6 +9,7 @@ Conventions used throughout the package:
   it also accepts an ``(m, n)`` array and returns ``m`` values; this is pure
   sugar with semantics identical to mapping the scalar form over the rows.
   Objectives are expected to be deterministic and finite inside the box.
+* The engine counts its own evaluations; :class:`CallCounter` is a caller's.
 * Types that hold arrays compare and hash by identity; compare the arrays.
 """
 
@@ -236,19 +237,41 @@ def evaluate_batch(objective: ObjectiveFn, rows: Array) -> Array:
     objective sees a read-only view, so it cannot change the points it is
     scored on; the caller's array keeps its own flags.
     """
-    rows = np.asarray(rows, dtype=float).view()
+    rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D batch, got shape {rows.shape}")
-    rows.setflags(write=False)
-    if getattr(objective, "supports_batch", False):
-        values = np.asarray(objective(rows), dtype=float)
-        if values.shape != (rows.shape[0],):
-            raise TypeError(
-                f"batch objective returned shape {values.shape}, "
-                f"expected ({rows.shape[0]},)"
-            )
-        return values
-    return np.array([float(objective(row)) for row in rows], dtype=float)
+    return _Evaluator(objective)(rows)
+
+
+class _Evaluator:
+    # The evaluation kernel: reads ``supports_batch`` once and counts each point
+    # before the objective sees it, as CallCounter does, aborts included.  It is
+    # a batch objective itself, so a run's kernel can be passed to ``initialize``.
+    supports_batch = True
+
+    def __init__(self, objective: ObjectiveFn):
+        self.objective, self.count = objective, 0
+        self.batch = bool(getattr(objective, "supports_batch", False))
+
+    def __call__(self, rows: Array) -> Array:
+        rows = rows.view()
+        rows.setflags(write=False)
+        if self.batch:
+            self.count += len(rows)
+            values = np.asarray(self.objective(rows), dtype=float)
+            if values.shape == (len(rows),):
+                return values
+            raise TypeError(f"batch objective returned shape {values.shape}, expected ({len(rows)},)")
+        objective, values = self.objective, []
+        for row in rows:
+            self.count += 1
+            values.append(float(objective(row)))
+        return np.array(values)
+
+
+def _quietly(kernel, *args):  # the public entry points' guard, as sta_run guards its loop
+    with np.errstate(all="ignore"):
+        return kernel(*args)
 
 
 class CallCounter:

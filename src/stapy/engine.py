@@ -19,10 +19,12 @@ incumbent's fitness is kept with its coordinates, so a phase costs exactly
 values follow one rule: they count as +inf, and +inf never wins a strict
 comparison.
 
-:func:`sta_run`'s loop runs on plain arrays through private kernels that
-check nothing (the samplers' own, ``_clamp``, ``_best`` and ``_phase``).
-Only :func:`initialize` and :func:`select_best` wrap a kernel in public:
-they validate their arguments once, then call ``_best``.
+:func:`sta_run`'s loop runs on plain arrays, under one
+``np.errstate(all="ignore")``, through private kernels that check nothing
+(the samplers' own, ``_clamp``, ``_best``, ``_phase`` and the run's one
+evaluation kernel, which counts every point).  Only :func:`initialize` and
+:func:`select_best` wrap a kernel in public: they validate their arguments
+once, then call ``_best`` under their own guard.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 
 from .core import (
     Array,
-    CallCounter,
     ObjectiveFn,
     RandomSource,
     RunResult,
@@ -43,8 +44,9 @@ from .core import (
     Solution,
     StaParams,
     _count,
+    _Evaluator,
+    _quietly,
     _real,
-    evaluate_batch,
 )
 from .operators import _axes, _expand, _rotate, _translate
 
@@ -91,10 +93,10 @@ def initialize(
     :class:`EvaluationError`: when no initial point has a finite value.
     """
     u = rng.uniform(0.0, 1.0, (_count(se, "se"), space.dim))
-    best = Solution(*_best(objective, space.lower + u * (space.upper - space.lower)))
-    if best.fitness == np.inf:
+    x, fx = _quietly(_best, _Evaluator(objective), space.lower + u * (space.upper - space.lower))
+    if fx == np.inf:
         raise EvaluationError("objective is non-finite at every initial point")
-    return best
+    return Solution(x, fx)
 
 
 def _clamp(batch: Array, space: SearchSpace) -> Array:
@@ -111,13 +113,13 @@ def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     fitness ``inf``.  Raises :class:`ValueError` on an empty or non-2-D batch.
     """
     batch = np.asarray(batch, dtype=float)
-    if batch.size == 0:
+    if batch.ndim != 2 or batch.size == 0:
         raise ValueError(f"batch must be a non-empty 2-D array, got shape {batch.shape}")
-    return Solution(*_best(objective, batch))
+    return Solution(*_quietly(_best, _Evaluator(objective), batch))
 
 
-def _best(objective: ObjectiveFn, batch: Array) -> tuple[Array, float]:
-    values = evaluate_batch(objective, batch)
+def _best(score: _Evaluator, batch: Array) -> tuple[Array, float]:
+    values = score(batch)
     g = int(values.argmin())  # the first NaN if any, else the first -inf, else the minimum
     if not math.isfinite(values[g]):
         values = np.where(np.isfinite(values), values, np.inf)
@@ -125,12 +127,12 @@ def _best(objective: ObjectiveFn, batch: Array) -> tuple[Array, float]:
     return batch[g], float(values[g])
 
 
-def _phase(objective, space, x, fx, batch, params, rng) -> tuple[Array, float]:
+def _phase(score, space, x, fx, batch, params, rng) -> tuple[Array, float]:
     # The rest of a phase once its sampler has drawn ``batch`` around (x, fx).
-    y, fy = _best(objective, _clamp(batch, space))
+    y, fy = _best(score, _clamp(batch, space))
     if not fy < fx:
         return x, fx
-    z, fz = _best(objective, _clamp(_translate(x, y, params.se, params.beta, rng), space))
+    z, fz = _best(score, _clamp(_translate(x, y, params.se, params.beta, rng), space))
     return (z, fz) if fz < fy else (y, fy)
 
 
@@ -143,6 +145,10 @@ def sta_run(
     observer: Optional[Callable[[RunState], None]] = None,
 ) -> RunResult:
     """Run the full optimization loop and return its result.
+
+    The engine counts its own evaluations.  The objective and the observer
+    run under the run's ``np.errstate(all="ignore")``: their warnings are
+    silenced, and a non-finite objective value follows the +inf rule.
 
     Parameters
     ----------
@@ -169,7 +175,8 @@ def sta_run(
     RunAborted
         When the objective raises or returns an unusable batch, or when no
         initial point has a finite value.  The exception carries the partial
-        result; the original error is chained as ``__cause__``.
+        result (its count includes the failed point or batch); the original
+        error is chained as ``__cause__``.
     """
     if params is None:
         params = StaParams()
@@ -177,30 +184,30 @@ def sta_run(
         target_fitness = _real(target_fitness, "target_fitness")
     if not isinstance(rng, RandomSource):
         rng = RandomSource(0 if rng is None else rng)
-    counting = CallCounter(objective)
+    score = _Evaluator(objective)
 
     def result() -> RunResult:  # best, fbest, history, evaluations, seed
-        return RunResult(x, fx, np.asarray(history, dtype=float), counting.count, rng.seed)
+        return RunResult(x, fx, np.asarray(history, dtype=float), score.count, rng.seed)
 
     x: Optional[Array] = None
     history: list[float] = []
     try:
-        best = initialize(space, params.se, rng, counting)
-        x, fx, se = best.coords, best.fitness, params.se
-        alpha = params.alpha_max
-        for iteration in range(1, params.iterations + 1):
-            if alpha < params.alpha_min:
-                alpha = params.alpha_max
-            y, fy = _phase(counting, space, x, fx, _expand(x, se, params.gamma, rng), params, rng)
-            y, fy = _phase(counting, space, y, fy, _rotate(y, se, alpha, rng), params, rng)
-            y, fy = _phase(counting, space, y, fy, _axes(y, se, params.delta, rng), params, rng)
-            x, fx = y, fy  # the incumbent moves once per iteration, in step with history
-            history.append(fx)
-            if observer is not None:
-                observer(RunState(Solution(x, fx), alpha, iteration, counting.count))
-            alpha = alpha / params.fc
-            if target_fitness is not None and fx <= target_fitness:
-                break
+        with np.errstate(all="ignore"):  # one guard per run, around the objective too
+            best = initialize(space, params.se, rng, score)
+            x, fx, se, alpha = best.coords, best.fitness, params.se, params.alpha_max
+            for iteration in range(1, params.iterations + 1):
+                if alpha < params.alpha_min:
+                    alpha = params.alpha_max
+                y, fy = _phase(score, space, x, fx, _expand(x, se, params.gamma, rng), params, rng)
+                y, fy = _phase(score, space, y, fy, _rotate(y, se, alpha, rng), params, rng)
+                y, fy = _phase(score, space, y, fy, _axes(y, se, params.delta, rng), params, rng)
+                x, fx = y, fy  # the incumbent moves once per iteration, in step with history
+                history.append(fx)
+                if observer is not None:
+                    observer(RunState(Solution(x, fx), alpha, iteration, score.count))
+                alpha = alpha / params.fc
+                if target_fitness is not None and fx <= target_fitness:
+                    break
     except Exception as err:
         raise RunAborted(
             f"run aborted after {len(history)} completed iteration(s): {err}",

@@ -14,7 +14,8 @@ zero.
 
 Each sampler judges ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
 ValueError), and its step factor, a finite real > 0, before any draw, then
-calls its private kernel (``_rotate`` and so on), as the engine's loop does.
+calls its private kernel (``_rotate`` and so on), as the engine's loop does,
+under ``np.errstate(all="ignore")``: an overflow near 1e308 raises no warning.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import EPS, Array, RandomSource, _count, _real
+from .core import EPS, Array, RandomSource, _count, _quietly, _real
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
@@ -31,7 +32,7 @@ __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 _CHUNK_BYTES = 512 * 1024
 
 
-def _as_state(x, name: str) -> Array:
+def _as_state(x, name: str = "best") -> Array:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
@@ -51,7 +52,7 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     Draws: one uniform[-1, 1] block of shape ``(se, n, n)``, in row chunks of
     about 512 KiB (or one matrix), so peak memory is one chunk, not the block.
     """
-    return _rotate(_as_state(best, "best"), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
+    return _quietly(_rotate, _as_state(best), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
 
 
 def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
@@ -80,7 +81,7 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
     new_best = _as_state(new_best, "new_best")
     if old_best.shape != new_best.shape:
         raise ValueError("old_best and new_best must have the same length")
-    return _translate(old_best, new_best, _count(se, "se"), _real(beta, "beta", 0.0), rng)
+    return _quietly(_translate, old_best, new_best, _count(se, "se"), _real(beta, "beta", 0.0), rng)
 
 
 def _translate(old_best: Array, new_best: Array, se: int, beta: float, rng: RandomSource) -> Array:
@@ -99,7 +100,7 @@ def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:
 
     Draws: one standard-normal block of shape ``(se, n)``.
     """
-    return _expand(_as_state(best, "best"), _count(se, "se"), _real(gamma, "gamma", 0.0), rng)
+    return _quietly(_expand, _as_state(best), _count(se, "se"), _real(gamma, "gamma", 0.0), rng)
 
 
 def _expand(best: Array, se: int, gamma: float, rng: RandomSource) -> Array:
@@ -116,7 +117,7 @@ def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
     Draws: one uniform-integer vector on {1..n} of shape ``(se,)``, then one
     standard-normal vector of shape ``(se,)``.
     """
-    return _axes(_as_state(best, "best"), _count(se, "se"), _real(delta, "delta", 0.0), rng)
+    return _quietly(_axes, _as_state(best), _count(se, "se"), _real(delta, "delta", 0.0), rng)
 
 
 def _axes(best: Array, se: int, delta: float, rng: RandomSource) -> Array:

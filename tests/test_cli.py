@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stapy.cli import CliError, main, parse_config
+from stapy.cli import CliError, build_parser, main, parse_config
 
 
 def bounds_of(config):
@@ -305,6 +305,40 @@ def test_unrecognized_arguments_are_one_short_line(capsys, extra):
     assert len(captured.err.encode()) < 400
     first = f"the first '{extra[0][:20]}"
     assert f"error: {len(extra)} unrecognized argument(s), {first}" in captured.err
+
+
+# Every option string, and "--s", a prefix of two of them (--se, --seed).
+OPTIONS = sorted(build_parser()._option_string_actions) + ["--s"]
+
+
+@pytest.mark.parametrize("form", ["separate", "equals", "attached"])
+@pytest.mark.parametrize("option", OPTIONS)
+def test_every_option_with_a_long_token_is_at_most_one_short_line(
+    tmp_path, monkeypatch, capsys, option, form
+):
+    """Whatever message argparse or stapy writes about a 100,000-character
+    token with a newline near its start, it is one line under 400 bytes.  It
+    is a configuration error (exit 2), except that a help flag given the token
+    apart prints help (exit 0), and an output path that names it runs, then
+    cannot be written (exit 1)."""
+    monkeypatch.chdir(tmp_path)
+    token = "x\n" + "x" * 99_998
+    given = {"separate": [option, token], "equals": [f"{option}={token}"]}
+    args = ["--function", "sphere", "--dim", "2", "--iterations", "1"]
+    args += given.get(form, [option + token])
+    expected = 2
+    if option in ("-h", "--help") and form == "separate":
+        expected = 0
+    elif option in ("--out-json", "--out-csv") and form != "attached":
+        expected = 1
+    try:
+        code = main(args)
+    except SystemExit as exit_:  # argparse's errors and its help
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err.count("\n") == (expected != 0) and len(err.encode()) < 400
+    assert err.startswith("error: ") or expected == 0
 
 
 def test_config_file_null_is_absent_and_flags_win(tmp_path):

@@ -2,14 +2,15 @@
 
 Projection and phases are tested on the private kernels that ``sta_run``
 runs (``_clamp``, ``_phase`` and the samplers), as no public function
-wraps them.
+wraps them.  A phase scores its points through the run's evaluation kernel
+(``_Evaluator``), whose ``count`` is the engine's own evaluation count.
 """
 
 import numpy as np
 import pytest
 
 from stapy.benchmarks import rastrigin, sphere
-from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams
+from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams, _Evaluator
 from stapy.engine import (
     EvaluationError,
     RunAborted,
@@ -177,7 +178,8 @@ def test_greedy_update_strictness():
         def scripted(p):
             return value if np.array_equal(p, candidate) else 3.0
 
-        out, fitness = _phase(scripted, space, x, 1.0, candidate[None, :].copy(), params, rng())
+        score = _Evaluator(scripted)
+        out, fitness = _phase(score, space, x, 1.0, candidate[None, :].copy(), params, rng())
         if wins:
             assert fitness == 0.5 and np.array_equal(out, candidate)
         else:
@@ -192,26 +194,26 @@ def test_phase_no_improvement_skips_translation():
     comes back as the same object.  Every candidate at best ties the global
     optimum, and a tie does not replace the incumbent: improvement is strict."""
     space = SearchSpace.uniform(2, -1.0, 1.0)
-    counting = CallCounter(sphere)
+    score = _Evaluator(sphere)
     x = np.zeros(2)  # global optimum
     params = StaParams(se=30)
     batch = _expand(x, params.se, params.gamma, rng())
     batch[7] = 0.0  # one candidate equals the incumbent
-    out, fitness = _phase(counting, space, x, 0.0, batch, params, rng())
+    out, fitness = _phase(score, space, x, 0.0, batch, params, rng())
     assert out is x and fitness == 0.0
-    assert counting.count == 30
+    assert score.count == 30
 
 
 def test_phase_improvement_triggers_translation():
     """A strict improvement costs se (operator) + se (translation chase)."""
     space = SearchSpace.uniform(2, -5.0, 5.0)
-    counting = CallCounter(sphere)
+    score = _Evaluator(sphere)
     x, params, source = np.array([1.0, 1.0]), StaParams(se=30), rng(4)
     # Rotation with alpha=1 around (1,1) improves with overwhelming probability.
     batch = _rotate(x, params.se, 1.0, source)
-    out, fitness = _phase(counting, space, x, 2.0, batch, params, source)
+    out, fitness = _phase(score, space, x, 2.0, batch, params, source)
     assert fitness < 2.0 and fitness == sphere(out)
-    assert counting.count == 60
+    assert score.count == 60
     assert space.contains(out)
 
 
@@ -223,7 +225,7 @@ def test_phase_improves_at_least_once_over_seeds():
     for s in range(100):
         source = rng(s)
         batch = _rotate(x, params.se, params.alpha_max, source)
-        wins += _phase(sphere, space, x, 2.0, batch, params, source)[1] < 2.0
+        wins += _phase(_Evaluator(sphere), space, x, 2.0, batch, params, source)[1] < 2.0
     assert wins >= 1
 
 
@@ -232,7 +234,7 @@ def test_phase_fitness_never_increases_and_stays_feasible():
     params = StaParams(se=10)
     source = rng(21)
     best = initialize(space, 10, source, rastrigin)
-    x, fx = best.coords, best.fitness
+    x, fx, score = best.coords, best.fitness, _Evaluator(rastrigin)
     samplers = (
         lambda x: _expand(x, params.se, params.gamma, source),
         lambda x: _rotate(x, params.se, 0.5, source),
@@ -240,7 +242,7 @@ def test_phase_fitness_never_increases_and_stays_feasible():
     )
     for _ in range(20):
         for sample in samplers:
-            y, fy = _phase(rastrigin, space, x, fx, sample(x), params, source)
+            y, fy = _phase(score, space, x, fx, sample(x), params, source)
             assert fy <= fx and fy == rastrigin(y)
             assert space.contains(y)
             x, fx = y, fy
@@ -256,7 +258,8 @@ def test_phase_all_non_finite_batch_counts_as_no_improvement():
 
     params, source = StaParams(se=5), rng(1)
     batch = _expand(home, params.se, params.gamma, source)
-    out, fitness = _phase(nan_away_from_home, space, home, 0.25, batch, params, source)
+    score = _Evaluator(nan_away_from_home)
+    out, fitness = _phase(score, space, home, 0.25, batch, params, source)
     assert out is home and fitness == 0.25, "an all-non-finite batch must not win"
 
 
@@ -270,11 +273,11 @@ def test_phase_non_finite_translation_batch_keeps_the_candidate():
         seen.append((np.array(x), float(sphere(x))))
         return seen[-1][1] if len(seen) <= params.se else float("nan")
 
-    counting = CallCounter(finite_then_nan)
+    score = _Evaluator(finite_then_nan)
     x, source = np.array([1.0, 1.0]), rng(4)
     batch = _rotate(x, params.se, 1.0, source)
-    out, fitness = _phase(counting, space, x, 2.0, batch, params, source)
-    assert counting.count == 2 * params.se
+    out, fitness = _phase(score, space, x, 2.0, batch, params, source)
+    assert score.count == 2 * params.se
     coords, best = min(seen[: params.se], key=lambda pair: pair[1])
     assert fitness == best < 2.0
     assert np.array_equal(out, coords)
@@ -434,3 +437,59 @@ def test_sta_run_abort_during_initialization_has_no_partial():
     with pytest.raises(RunAborted) as info:
         sta_run(bad, space, StaParams(iterations=3), rng=0)
     assert info.value.partial is None
+
+
+# ------------------------------------------------------ counts after an abort
+
+
+class BackendError(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_abort_counts_the_scalar_row_that_raised(j, k):
+    """A scalar objective raising at row k of batch j (batch 0 initializes)
+    leaves ``j * se + k + 1`` evaluations: every row before it, and itself."""
+    se, raised = 5, []
+
+    def f(x):
+        if counting.count == j * se + k + 1:
+            raised.append(BackendError("the objective went away"))
+            raise raised[-1]
+        return sphere(x)
+
+    counting = CallCounter(f)
+    with pytest.raises(RunAborted) as info:
+        sta_run(counting, SearchSpace.uniform(3, -5.0, 5.0), StaParams(se=se, iterations=50), rng=2)
+    assert info.value.__cause__ is raised[0]
+    assert info.value.partial.evaluations == counting.count == j * se + k + 1
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+@pytest.mark.parametrize("hostility", ["raise", "shape"])
+def test_abort_counts_the_whole_batch_that_failed(j, hostility):
+    """A batch objective that raises, or returns the wrong shape, at its call j
+    (call 0 initializes) leaves ``(j + 1) * se`` evaluations: the failed batch
+    counts in full."""
+    se, raised = 5, []
+
+    def f(x):
+        if len(raised) < j:
+            raised.append(None)
+            return sphere(x)
+        if hostility == "raise":
+            raised.append(BackendError("the objective went away"))
+            raise raised[-1]
+        return np.stack([sphere(x)] * 2, axis=-1)
+
+    f.supports_batch = True
+    counting = CallCounter(f)
+    with pytest.raises(RunAborted) as info:
+        sta_run(counting, SearchSpace.uniform(3, -5.0, 5.0), StaParams(se=se, iterations=50), rng=2)
+    if hostility == "raise":
+        assert info.value.__cause__ is raised[-1]
+    else:
+        assert isinstance(info.value.__cause__, TypeError)
+        assert f"returned shape ({se}, 2), expected ({se},)" in str(info.value.__cause__)
+    assert info.value.partial.evaluations == counting.count == (j + 1) * se

@@ -9,6 +9,8 @@ history, a finite and feasible best with ``fbest == history[-1] ==
 f(best)``, and, when the run completes, an exact evaluation count.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -113,22 +115,105 @@ def test_run_contract_holds_for_hostile_objectives(
 
     objective.supports_batch = batch
     counting = CallCounter(objective)
-    with np.errstate(all="ignore"):
-        try:
-            result = sta_run(counting, space, StaParams(se=se, iterations=iterations), rng=seed)
-        except RunAborted as err:
-            assert isinstance(err.__cause__, (HOSTILITY[hostility], EvaluationError))
-            if hostility == "write" and isinstance(err.__cause__, ValueError):
-                assert "read-only" in str(err.__cause__)
-            result = err.partial
-        else:
-            assert result.evaluations == counting.count
-            assert len(result.history) == iterations
-        assert not outside, f"objective saw {outside[0]} outside the box"
-        if result is None:
-            return
-        assert np.all(np.diff(result.history) <= 0.0)
-        assert np.isfinite(result.best).all() and space.contains(result.best)
-        assert np.isfinite(result.fbest) and result.fbest == float(f(result.best))
-        if len(result.history):
-            assert result.fbest == result.history[-1]
+    try:
+        result = sta_run(counting, space, StaParams(se=se, iterations=iterations), rng=seed)
+    except RunAborted as err:
+        assert isinstance(err.__cause__, (HOSTILITY[hostility], EvaluationError))
+        if hostility == "write" and isinstance(err.__cause__, ValueError):
+            assert "read-only" in str(err.__cause__)
+        result = err.partial
+    else:
+        assert result.evaluations == counting.count
+        assert len(result.history) == iterations
+    assert not outside, f"objective saw {outside[0]} outside the box"
+    if result is None:
+        return
+    assert np.all(np.diff(result.history) <= 0.0)
+    assert np.isfinite(result.best).all() and space.contains(result.best)
+    with np.errstate(all="ignore"):  # the islands' grid arithmetic overflows near 1e308
+        expected = float(f(result.best))
+    assert np.isfinite(result.fbest) and result.fbest == expected
+    if len(result.history):
+        assert result.fbest == result.history[-1]
+
+
+# A plain positive real, or one near the float limit.
+FACTORS = st.floats(1e-3, 10.0) | st.floats(1e300, LIMIT)
+
+
+@st.composite
+def limit_boxes(draw):
+    """Boxes of finite width with bounds, and so rows, near +-1e308: from about
+    0 up to the limit, across 0 with a width near the limit, or at one end."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    shape = draw(st.sampled_from(["up", "across", "end"]))
+    near = np.array(draw(st.lists(st.floats(1e307, LIMIT), min_size=dim, max_size=dim)))
+    if shape == "up":
+        return SearchSpace(np.zeros(dim), near)
+    if shape == "across":
+        return SearchSpace(-near / 2.0, near / 2.0)
+    low = near * np.array(draw(st.lists(st.floats(0.0, 0.99), min_size=dim, max_size=dim)))
+    return SearchSpace(-near, -low) if draw(st.booleans()) else SearchSpace(low, near)
+
+
+@st.composite
+def limit_params(draw):
+    """StaParams whose step factors, radius and decay may sit near 1e308."""
+    alpha_max = draw(FACTORS)
+    return StaParams(
+        alpha_max=alpha_max,
+        alpha_min=alpha_max * draw(st.floats(1e-300, 1.0)),
+        beta=draw(FACTORS),
+        gamma=draw(FACTORS),
+        delta=draw(FACTORS),
+        fc=draw(st.floats(1.01, 10.0) | st.floats(1e300, LIMIT)),
+        se=draw(st.integers(min_value=1, max_value=8)),
+        iterations=draw(st.integers(min_value=1, max_value=8)),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    space=limit_boxes() | boxes(),
+    params=limit_params(),
+    where=st.floats(0.0, 1.0),
+    batch=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(
+    space=SearchSpace.uniform(3, 0.0, 1.7e308), params=StaParams(iterations=20),
+    where=0.5, batch=False, seed=0,
+)
+@example(
+    space=SearchSpace.uniform(3, -8e307, 8e307), params=StaParams(iterations=20),
+    where=0.5, batch=True, seed=0,
+)
+@example(
+    space=SearchSpace.uniform(3, 1.0, 2.0), params=StaParams(gamma=1e308, iterations=20),
+    where=0.5, batch=False, seed=0,
+)
+def test_no_warning_escapes_a_run_near_the_float_limits(space, params, where, batch, seed):
+    """Overflow in the samplers (a norm, a step factor, a radius near 1e308)
+    raises no warning, with warnings as errors and no errstate here, and the
+    run contract holds: it completes, exactly counted and repeatable."""
+    center = space.lower + where * (space.upper - space.lower)
+
+    def f(x):  # max-norm distance to center; halving first keeps it finite
+        return np.fmax.reduce(np.abs(0.5 * x - 0.5 * center), axis=-1)
+
+    def objective(x):
+        return f(x) if batch else float(f(x))
+
+    objective.supports_batch = batch
+    counting = CallCounter(objective)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sta_run(counting, space, params, rng=seed)
+        again = sta_run(objective, space, params, rng=seed)
+    assert len(result.history) == params.iterations
+    assert result.evaluations == counting.count == again.evaluations
+    assert np.all(np.diff(result.history) <= 0.0)
+    assert np.isfinite(result.best).all() and space.contains(result.best)
+    assert result.fbest == result.history[-1] == float(f(result.best))
+    assert np.array_equal(result.best, again.best)
+    assert np.array_equal(result.history, again.history)
