@@ -5,15 +5,17 @@ All functions accept a single point of shape ``(n,)``, giving an
 leading axes, so they plug directly into the engine's vectorized evaluation
 path (``supports_batch``).  Per-dimension constants (griewank's ``sqrt(i)``)
 are computed once per ``n`` and the sums and products call the ufunc's
-``reduce`` directly; the values are bit-identical to the textbook formulas
-written with ``np.sum`` and ``np.prod``.  Each
-:class:`BenchmarkSpec` states its box and argmin as plain values, which
-:meth:`~BenchmarkSpec.default_box` and :meth:`~BenchmarkSpec.reference_argmin`
-spread over the requested dimension.
+``reduce`` directly; a single point's griewank product is an in-order
+``math.prod`` fold in Python floats, as numpy multiplies in order too.  The
+values are bit-identical to the textbook formulas written with ``np.sum`` and
+``np.prod``.  Each :class:`BenchmarkSpec` states its box and argmin as plain
+values, which :meth:`~BenchmarkSpec.default_box` and
+:meth:`~BenchmarkSpec.reference_argmin` spread over the requested dimension.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -66,11 +68,10 @@ def _sqrt_index(n: int) -> Array:
 def griewank(x) -> Union[np.float64, Array]:
     """1 + sum(x_i^2)/4000 - prod(cos(x_i / sqrt(i))); minimum 0 at 0."""
     x = np.asarray(x, dtype=float)
-    return (
-        1.0
-        + np.add.reduce(x * x, axis=-1) / 4000.0
-        - np.multiply.reduce(np.cos(x / _sqrt_index(x.shape[-1])), axis=-1)
-    )
+    c = np.cos(x / _sqrt_index(x.shape[-1]))
+    # A point's in-order fold in Python floats has multiply.reduce's bits, cheaper.
+    product = math.prod(c.tolist()) if c.ndim == 1 else np.multiply.reduce(c, axis=-1)
+    return 1.0 + np.add.reduce(x * x, axis=-1) / 4000.0 - product
 
 
 def paper_quadratic(x) -> Union[np.float64, Array]:

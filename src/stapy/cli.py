@@ -9,6 +9,7 @@ replayed verbatim.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -284,14 +285,24 @@ def _params_document(config: RunConfig) -> dict:
     return doc
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _unwritable(path: str) -> Optional[str]:
+    """Why opening ``path`` to write must fail, found without creating it, or None."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return os.strerror(errno.EACCES)
 
 
 def run_command(config: RunConfig) -> int:
-    """Execute one run per seed, print summaries, write JSON/CSV outputs."""
+    """Check the output paths, execute one run per seed, print summaries, write JSON/CSV."""
     params_doc = _params_document(config)
+    for path in filter(None, (config.out_json, config.out_csv)):
+        if reason := _unwritable(path):
+            print(f"error: {_line(f'cannot write {path}: {reason}')}", file=sys.stderr)
+            return 1
 
     records = []
     for seed in config.seeds:
@@ -341,7 +352,8 @@ def run_command(config: RunConfig) -> int:
 
     for path, text in outputs:
         try:
-            _write_text(path, text)
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
         except OSError as err:
             print(f"error: {_line(f'cannot write {path}: {err.strerror}')}", file=sys.stderr)
             try:

@@ -1,6 +1,7 @@
 """Benchmark values, reference optima, registry lookup, batch semantics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,48 @@ def test_builtin_objectives_equal_their_textbook_form_bit_for_bit():
     for n in range(1, 500):
         griewank(np.zeros(n))
     assert _sqrt_index.cache_info().currsize <= _sqrt_index.cache_info().maxsize < 500
+
+
+# A point's griewank folds its cosines in Python floats; a batch keeps numpy.
+GRIEWANK_ENTRIES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    600.0, -600.0, np.nextafter(600.0, 0.0), np.nextafter(-600.0, 0.0),
+]
+
+
+def test_griewank_point_equals_its_batch_row_and_textbook_bit_for_bit():
+    rng = RandomSource(17)
+    entries = np.array(GRIEWANK_ENTRIES)
+    textbook = TEXTBOOK[griewank]
+    for n in range(1, 65):
+        # Near the origin the product's last bits reach the result.
+        scales = np.array([[600.0], [60.0], [6.0], [3.0], [1.0], [0.3]])
+        finite = rng.uniform(-1.0, 1.0, (6, n)) * scales
+        picked = entries[rng.integers(len(entries), (12, n)) - 1]
+        hostile = np.where(
+            rng.uniform(0.0, 1.0, (12, n)) < 0.3, picked, rng.uniform(-600.0, 600.0, (12, n))
+        )
+        batch = np.concatenate([finite, hostile, picked])
+        with np.errstate(all="ignore"):
+            rows = griewank(batch)
+            for i, x in enumerate(batch):
+                got = griewank(x)
+                assert type(got) is np.float64
+                assert got.tobytes() == rows[i].tobytes() == textbook(x).tobytes(), (n, i)
+
+
+def test_griewank_finite_point_raises_no_warning():
+    rng = RandomSource(19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 10, 64, 1000):
+            for x in (
+                rng.uniform(-600.0, 600.0, n),
+                rng.uniform(-1e-300, 1e-300, n),
+                np.full(n, 5e-324),
+                np.full(n, -0.0),
+            ):
+                assert np.isfinite(griewank(x))
 
 
 # --------------------------------------------------------------- registry

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, config files, outputs, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stapy import cli
 from stapy.cli import CliError, build_parser, main, parse_config
 
 
@@ -541,6 +543,44 @@ def test_main_unwritable_output_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error: cannot write" in err
+
+
+@pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+@pytest.mark.parametrize(
+    "fault,reason",
+    [
+        ("missing parent", errno.ENOENT),
+        ("parent is a file", errno.ENOTDIR),
+        ("a directory", errno.EISDIR),
+        ("parent not writable", errno.EACCES),
+    ],
+)
+def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, flag, fault, reason):
+    """A path that cannot be opened to write is reported before the first
+    seed runs: exit 1, one stderr line, empty stdout, and no output file."""
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = {
+        "missing parent": tmp_path / "missing" / "x",
+        "parent is a file": tmp_path / "file" / "x",
+        "a directory": tmp_path,
+        "parent not writable": tmp_path / "x",
+    }[fault]
+    if fault == "parent not writable":  # chmod does not bind a superuser
+        real_access = os.access
+        monkeypatch.setattr(
+            cli.os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode)
+        )
+    monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
+    (tmp_path / "ok").mkdir()
+    other = tmp_path / "ok" / "other"
+    code, out, err = run_cli(
+        ["--function", "griewank", "--dim", "10", "--seed", "1", "--seed", "2",
+         flag, str(path), "--out-csv" if flag == "--out-json" else "--out-json", str(other)],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
+    assert not other.exists() and not (tmp_path / "x").exists()
 
 
 def test_main_csv_uses_lf_and_full_precision(tmp_path, capsys):
