@@ -5,11 +5,11 @@ All functions accept a single point of shape ``(n,)``, giving an
 leading axes, so they plug directly into the engine's vectorized evaluation
 path (``supports_batch``).  Per-dimension constants (griewank's ``sqrt(i)``)
 are computed once per ``n`` and the sums and products call the ufunc's
-``reduce`` directly; a single point's griewank product is an in-order
-``math.prod`` fold in Python floats, as numpy multiplies in order too.  The
-values are bit-identical to the textbook formulas written with ``np.sum`` and
-``np.prod``.  Each :class:`BenchmarkSpec` states its box and argmin as plain
-values, which :meth:`~BenchmarkSpec.default_box` and
+``reduce`` directly; griewank multiplies a point of at most 32 coordinates
+in order in Python floats (``math.prod``), as numpy multiplies in order too.
+The values are bit-identical to the textbook formulas written with ``np.sum``
+and ``np.prod``.  Each :class:`BenchmarkSpec` states its box and argmin as
+plain values, which :meth:`~BenchmarkSpec.default_box` and
 :meth:`~BenchmarkSpec.reference_argmin` spread over the requested dimension.
 """
 
@@ -69,8 +69,9 @@ def griewank(x) -> Union[np.float64, Array]:
     """1 + sum(x_i^2)/4000 - prod(cos(x_i / sqrt(i))); minimum 0 at 0."""
     x = np.asarray(x, dtype=float)
     c = np.cos(x / _sqrt_index(x.shape[-1]))
-    # A point's in-order fold in Python floats has multiply.reduce's bits, cheaper.
-    product = math.prod(c.tolist()) if c.ndim == 1 else np.multiply.reduce(c, axis=-1)
+    # In order like multiply.reduce, so the same bits; faster up to 32 coordinates.
+    short = c.ndim == 1 and c.size <= 32
+    product = math.prod(c.tolist()) if short else np.multiply.reduce(c, axis=-1)
     return 1.0 + np.add.reduce(x * x, axis=-1) / 4000.0 - product
 
 

@@ -286,7 +286,8 @@ def _params_document(config: RunConfig) -> dict:
 
 
 def _unwritable(path: str) -> Optional[str]:
-    """Why opening ``path`` to write must fail, found without creating it, or None."""
+    """Why opening ``path`` to write must fail, found without creating it, or None;
+    ``os.access`` asks with the real ids, and any refusal reads EACCES (even EROFS)."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)

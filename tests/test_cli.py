@@ -583,6 +583,50 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, f
     assert not other.exists() and not (tmp_path / "x").exists()
 
 
+class _DiskFullAfterTenCharacters:
+    """Stands in for ``open``: the file is created and partly written, then
+    the write fails as on a full disk."""
+
+    def __init__(self, path, *args, **kwargs):
+        self.handle = open(path, *args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:10])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fault,reason", [
+    ("name too long", errno.ENAMETOOLONG),
+    ("disk full", errno.ENOSPC),
+])
+def test_write_error_after_the_runs_leaves_no_output_file(tmp_path, monkeypatch, capsys,
+                                                          fault, reason):
+    """A write error that the early check cannot see shows after the runs:
+    exit 1, one error line ending in the reason, and the partial file is
+    removed, so neither output file remains."""
+    json_path = tmp_path / ("x" * 300 if fault == "name too long" else "x.json")
+    csv_path = tmp_path / "x.csv"
+    if fault == "disk full":
+        monkeypatch.setattr(cli, "open", _DiskFullAfterTenCharacters, raising=False)
+    code, out, err = run_cli(
+        ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
+         "--out-json", str(json_path), "--out-csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out.startswith("seed 1: ")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert err.endswith(f": {os.strerror(reason)}\n")
+    assert list(tmp_path.iterdir()) == []  # neither output file remains
+
+
 def test_main_csv_uses_lf_and_full_precision(tmp_path, capsys):
     csv_path = tmp_path / "prec.csv"
     code, _, _ = run_cli(
