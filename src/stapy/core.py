@@ -9,7 +9,7 @@ Conventions used throughout the package:
   it also accepts an ``(m, n)`` array and returns ``m`` values; this is pure
   sugar with semantics identical to mapping the scalar form over the rows.
   Objectives are expected to be deterministic and finite inside the box.
-* The engine counts its own evaluations; :class:`CallCounter` is a caller's.
+* :class:`CallCounter` counts evaluations, a caller's and the engine's own.
 * Types that hold arrays compare and hash by identity; compare the arrays.
 """
 
@@ -240,38 +240,7 @@ def evaluate_batch(objective: ObjectiveFn, rows: Array) -> Array:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D batch, got shape {rows.shape}")
-    return _Evaluator(objective)(rows)
-
-
-class _Evaluator:
-    # The evaluation kernel: reads ``supports_batch`` once and counts each point
-    # before the objective sees it, as CallCounter does, aborts included.  It is
-    # a batch objective itself, so a run's kernel can be passed to ``initialize``.
-    supports_batch = True
-
-    def __init__(self, objective: ObjectiveFn):
-        self.objective, self.count = objective, 0
-        self.batch = bool(getattr(objective, "supports_batch", False))
-
-    def __call__(self, rows: Array) -> Array:
-        rows = rows.view()
-        rows.setflags(write=False)
-        if self.batch:
-            self.count += len(rows)
-            values = np.asarray(self.objective(rows), dtype=float)
-            if values.shape == (len(rows),):
-                return values
-            raise TypeError(f"batch objective returned shape {values.shape}, expected ({len(rows)},)")
-        objective, values = self.objective, []
-        for row in rows:
-            self.count += 1
-            values.append(float(objective(row)))
-        return np.array(values)
-
-
-def _quietly(kernel, *args):  # the public entry points' guard, as sta_run guards its loop
-    with np.errstate(all="ignore"):
-        return kernel(*args)
+    return CallCounter(objective)._score(rows)
 
 
 class CallCounter:
@@ -290,4 +259,26 @@ class CallCounter:
         x = np.asarray(x)
         self.count += 1 if x.ndim == 1 else x.shape[0]
         return self.objective(x)
+
+    def _score(self, rows: Array) -> Array:
+        # The engine's evaluation kernel: the values of an (m, n) batch, each point
+        # counted before the objective sees it read-only, aborts included.
+        rows = rows.view()
+        rows.setflags(write=False)
+        if self.supports_batch:
+            self.count += len(rows)
+            values = np.asarray(self.objective(rows), dtype=float)
+            if values.shape == (len(rows),):
+                return values
+            raise TypeError(f"batch objective returned shape {values.shape}, expected ({len(rows)},)")
+        objective, values = self.objective, []
+        for row in rows:
+            self.count += 1
+            values.append(float(objective(row)))
+        return np.array(values)
+
+
+def _quietly(kernel, *args):  # the public entry points' guard, as sta_run guards its loop
+    with np.errstate(all="ignore"):
+        return kernel(*args)
 

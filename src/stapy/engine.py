@@ -21,10 +21,10 @@ comparison.
 
 :func:`sta_run`'s loop runs on plain arrays, under one
 ``np.errstate(all="ignore")``, through private kernels that check nothing
-(the samplers' own, ``_clamp``, ``_best``, ``_phase`` and the run's one
-evaluation kernel, which counts every point).  Only :func:`initialize` and
-:func:`select_best` wrap a kernel in public: they validate their arguments
-once, then call ``_best`` under their own guard.
+(the samplers' own, ``_clamp``, ``_best``, ``_phase`` and the ``_score`` of
+the run's one :class:`~stapy.core.CallCounter`, which counts every point).
+Only :func:`initialize` and :func:`select_best` wrap a kernel in public: they
+validate their arguments once, then call ``_best`` under their own guard.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     Array,
+    CallCounter,
     ObjectiveFn,
     RandomSource,
     RunResult,
@@ -44,7 +45,6 @@ from .core import (
     Solution,
     StaParams,
     _count,
-    _Evaluator,
     _quietly,
     _real,
 )
@@ -93,7 +93,7 @@ def initialize(
     :class:`EvaluationError`: when no initial point has a finite value.
     """
     u = rng.uniform(0.0, 1.0, (_count(se, "se"), space.dim))
-    x, fx = _quietly(_best, _Evaluator(objective), space.lower + u * (space.upper - space.lower))
+    x, fx = _quietly(_best, CallCounter(objective), space.lower + u * (space.upper - space.lower))
     if fx == np.inf:
         raise EvaluationError("objective is non-finite at every initial point")
     return Solution(x, fx)
@@ -115,11 +115,11 @@ def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.size == 0:
         raise ValueError(f"batch must be a non-empty 2-D array, got shape {batch.shape}")
-    return Solution(*_quietly(_best, _Evaluator(objective), batch))
+    return Solution(*_quietly(_best, CallCounter(objective), batch))
 
 
-def _best(score: _Evaluator, batch: Array) -> tuple[Array, float]:
-    values = score(batch)
+def _best(evals: CallCounter, batch: Array) -> tuple[Array, float]:
+    values = evals._score(batch)
     g = int(values.argmin())  # the first NaN if any, else the first -inf, else the minimum
     if not math.isfinite(values[g]):
         values = np.where(np.isfinite(values), values, np.inf)
@@ -127,12 +127,12 @@ def _best(score: _Evaluator, batch: Array) -> tuple[Array, float]:
     return batch[g], float(values[g])
 
 
-def _phase(score, space, x, fx, batch, params, rng) -> tuple[Array, float]:
+def _phase(evals, space, x, fx, batch, params, rng) -> tuple[Array, float]:
     # The rest of a phase once its sampler has drawn ``batch`` around (x, fx).
-    y, fy = _best(score, _clamp(batch, space))
+    y, fy = _best(evals, _clamp(batch, space))
     if not fy < fx:
         return x, fx
-    z, fz = _best(score, _clamp(_translate(x, y, params.se, params.beta, rng), space))
+    z, fz = _best(evals, _clamp(_translate(x, y, params.se, params.beta, rng), space))
     return (z, fz) if fz < fy else (y, fy)
 
 
@@ -146,9 +146,9 @@ def sta_run(
 ) -> RunResult:
     """Run the full optimization loop and return its result.
 
-    The engine counts its own evaluations.  The objective and the observer
-    run under the run's ``np.errstate(all="ignore")``: their warnings are
-    silenced, and a non-finite objective value follows the +inf rule.
+    A run counts its evaluations in a ``CallCounter`` of its own.  Its
+    objective and observer run under its ``np.errstate(all="ignore")``: their
+    warnings are silenced, and a non-finite value follows the +inf rule.
 
     Parameters
     ----------
@@ -184,27 +184,27 @@ def sta_run(
         target_fitness = _real(target_fitness, "target_fitness")
     if not isinstance(rng, RandomSource):
         rng = RandomSource(0 if rng is None else rng)
-    score = _Evaluator(objective)
+    evals = CallCounter(objective)
 
     def result() -> RunResult:  # best, fbest, history, evaluations, seed
-        return RunResult(x, fx, np.asarray(history, dtype=float), score.count, rng.seed)
+        return RunResult(x, fx, np.asarray(history, dtype=float), evals.count, rng.seed)
 
     x: Optional[Array] = None
     history: list[float] = []
     try:
         with np.errstate(all="ignore"):  # one guard per run, around the objective too
-            best = initialize(space, params.se, rng, score)
+            best = initialize(space, params.se, rng, evals)
             x, fx, se, alpha = best.coords, best.fitness, params.se, params.alpha_max
             for iteration in range(1, params.iterations + 1):
                 if alpha < params.alpha_min:
                     alpha = params.alpha_max
-                y, fy = _phase(score, space, x, fx, _expand(x, se, params.gamma, rng), params, rng)
-                y, fy = _phase(score, space, y, fy, _rotate(y, se, alpha, rng), params, rng)
-                y, fy = _phase(score, space, y, fy, _axes(y, se, params.delta, rng), params, rng)
+                y, fy = _phase(evals, space, x, fx, _expand(x, se, params.gamma, rng), params, rng)
+                y, fy = _phase(evals, space, y, fy, _rotate(y, se, alpha, rng), params, rng)
+                y, fy = _phase(evals, space, y, fy, _axes(y, se, params.delta, rng), params, rng)
                 x, fx = y, fy  # the incumbent moves once per iteration, in step with history
                 history.append(fx)
                 if observer is not None:
-                    observer(RunState(Solution(x, fx), alpha, iteration, score.count))
+                    observer(RunState(Solution(x, fx), alpha, iteration, evals.count))
                 alpha = alpha / params.fc
                 if target_fitness is not None and fx <= target_fitness:
                     break

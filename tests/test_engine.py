@@ -2,15 +2,15 @@
 
 Projection and phases are tested on the private kernels that ``sta_run``
 runs (``_clamp``, ``_phase`` and the samplers), as no public function
-wraps them.  A phase scores its points through the run's evaluation kernel
-(``_Evaluator``), whose ``count`` is the engine's own evaluation count.
+wraps them.  A phase scores its points as a run does, through the private
+``_score`` of a ``CallCounter``, whose ``count`` is the run's own count.
 """
 
 import numpy as np
 import pytest
 
 from stapy.benchmarks import rastrigin, sphere
-from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams, _Evaluator
+from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams
 from stapy.engine import (
     EvaluationError,
     RunAborted,
@@ -178,8 +178,8 @@ def test_greedy_update_strictness():
         def scripted(p):
             return value if np.array_equal(p, candidate) else 3.0
 
-        score = _Evaluator(scripted)
-        out, fitness = _phase(score, space, x, 1.0, candidate[None, :].copy(), params, rng())
+        counter = CallCounter(scripted)
+        out, fitness = _phase(counter, space, x, 1.0, candidate[None, :].copy(), params, rng())
         if wins:
             assert fitness == 0.5 and np.array_equal(out, candidate)
         else:
@@ -194,26 +194,26 @@ def test_phase_no_improvement_skips_translation():
     comes back as the same object.  Every candidate at best ties the global
     optimum, and a tie does not replace the incumbent: improvement is strict."""
     space = SearchSpace.uniform(2, -1.0, 1.0)
-    score = _Evaluator(sphere)
+    counter = CallCounter(sphere)
     x = np.zeros(2)  # global optimum
     params = StaParams(se=30)
     batch = _expand(x, params.se, params.gamma, rng())
     batch[7] = 0.0  # one candidate equals the incumbent
-    out, fitness = _phase(score, space, x, 0.0, batch, params, rng())
+    out, fitness = _phase(counter, space, x, 0.0, batch, params, rng())
     assert out is x and fitness == 0.0
-    assert score.count == 30
+    assert counter.count == 30
 
 
 def test_phase_improvement_triggers_translation():
     """A strict improvement costs se (operator) + se (translation chase)."""
     space = SearchSpace.uniform(2, -5.0, 5.0)
-    score = _Evaluator(sphere)
+    counter = CallCounter(sphere)
     x, params, source = np.array([1.0, 1.0]), StaParams(se=30), rng(4)
     # Rotation with alpha=1 around (1,1) improves with overwhelming probability.
     batch = _rotate(x, params.se, 1.0, source)
-    out, fitness = _phase(score, space, x, 2.0, batch, params, source)
+    out, fitness = _phase(counter, space, x, 2.0, batch, params, source)
     assert fitness < 2.0 and fitness == sphere(out)
-    assert score.count == 60
+    assert counter.count == 60
     assert space.contains(out)
 
 
@@ -225,7 +225,7 @@ def test_phase_improves_at_least_once_over_seeds():
     for s in range(100):
         source = rng(s)
         batch = _rotate(x, params.se, params.alpha_max, source)
-        wins += _phase(_Evaluator(sphere), space, x, 2.0, batch, params, source)[1] < 2.0
+        wins += _phase(CallCounter(sphere), space, x, 2.0, batch, params, source)[1] < 2.0
     assert wins >= 1
 
 
@@ -234,7 +234,7 @@ def test_phase_fitness_never_increases_and_stays_feasible():
     params = StaParams(se=10)
     source = rng(21)
     best = initialize(space, 10, source, rastrigin)
-    x, fx, score = best.coords, best.fitness, _Evaluator(rastrigin)
+    x, fx, counter = best.coords, best.fitness, CallCounter(rastrigin)
     samplers = (
         lambda x: _expand(x, params.se, params.gamma, source),
         lambda x: _rotate(x, params.se, 0.5, source),
@@ -242,7 +242,7 @@ def test_phase_fitness_never_increases_and_stays_feasible():
     )
     for _ in range(20):
         for sample in samplers:
-            y, fy = _phase(score, space, x, fx, sample(x), params, source)
+            y, fy = _phase(counter, space, x, fx, sample(x), params, source)
             assert fy <= fx and fy == rastrigin(y)
             assert space.contains(y)
             x, fx = y, fy
@@ -258,8 +258,8 @@ def test_phase_all_non_finite_batch_counts_as_no_improvement():
 
     params, source = StaParams(se=5), rng(1)
     batch = _expand(home, params.se, params.gamma, source)
-    score = _Evaluator(nan_away_from_home)
-    out, fitness = _phase(score, space, home, 0.25, batch, params, source)
+    counter = CallCounter(nan_away_from_home)
+    out, fitness = _phase(counter, space, home, 0.25, batch, params, source)
     assert out is home and fitness == 0.25, "an all-non-finite batch must not win"
 
 
@@ -273,11 +273,11 @@ def test_phase_non_finite_translation_batch_keeps_the_candidate():
         seen.append((np.array(x), float(sphere(x))))
         return seen[-1][1] if len(seen) <= params.se else float("nan")
 
-    score = _Evaluator(finite_then_nan)
+    counter = CallCounter(finite_then_nan)
     x, source = np.array([1.0, 1.0]), rng(4)
     batch = _rotate(x, params.se, 1.0, source)
-    out, fitness = _phase(score, space, x, 2.0, batch, params, source)
-    assert score.count == 2 * params.se
+    out, fitness = _phase(counter, space, x, 2.0, batch, params, source)
+    assert counter.count == 2 * params.se
     coords, best = min(seen[: params.se], key=lambda pair: pair[1])
     assert fitness == best < 2.0
     assert np.array_equal(out, coords)
