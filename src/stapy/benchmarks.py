@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Array, SearchSpace, _count, _readonly
+from .core import Array, SearchSpace, _count, _quoted, _readonly
 
 __all__ = [
     "sphere",
@@ -156,13 +156,12 @@ _REGISTRY: dict[str, BenchmarkSpec] = {
 
 
 def get_benchmark(name: str) -> BenchmarkSpec:
-    """Look up a benchmark by name, case-insensitively."""
-    key = str(name).strip().lower()
-    try:
-        return _REGISTRY[key]
-    except KeyError:
+    """Look up a benchmark by name (a ``str``), case-insensitively."""
+    spec = _REGISTRY.get(name.strip().lower()) if isinstance(name, str) else None
+    if spec is None:
         known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown benchmark {name!r} (known: {known})") from None
+        raise ValueError(f"unknown benchmark {_quoted(name)} (known: {known})")
+    return spec
 
 
 def list_benchmarks() -> list[str]:

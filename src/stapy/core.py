@@ -115,7 +115,11 @@ class SearchSpace:
         return cls(np.full(dim, lo, dtype=float), np.full(dim, hi, dtype=float))
 
     def contains(self, x: Array) -> bool:
+        """Whether a point of shape ``(n,)``, or every row of a batch of shape
+        ``(m, n)``, lies in the box; another last axis raises ValueError."""
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected points of length {self.dim}, got shape {x.shape}")
         return bool((x >= self.lower).all() and (x <= self.upper).all())
 
 

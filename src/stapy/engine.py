@@ -46,6 +46,7 @@ from .core import (
     StaParams,
     _count,
     _quietly,
+    _quoted,
     _real,
 )
 from .operators import _axes, _expand, _rotate, _translate
@@ -172,14 +173,26 @@ def sta_run(
 
     Raises
     ------
+    TypeError
+        Before any draw or evaluation, when ``objective`` or a given
+        ``observer`` is not callable, ``space`` is not a :class:`SearchSpace`,
+        or ``params`` is neither ``None`` nor a :class:`StaParams`.
     RunAborted
         When the objective raises or returns an unusable batch, or when no
         initial point has a finite value.  The exception carries the partial
         result (its count includes the failed point or batch); the original
         error is chained as ``__cause__``.
     """
+    if not callable(objective):
+        raise TypeError(f"objective must be callable, got {_quoted(objective)}")
+    if observer is not None and not callable(observer):
+        raise TypeError(f"observer must be callable or None, got {_quoted(observer)}")
+    if not isinstance(space, SearchSpace):
+        raise TypeError(f"space must be a SearchSpace, got {_quoted(space)}")
     if params is None:
         params = StaParams()
+    elif not isinstance(params, StaParams):
+        raise TypeError(f"params must be a StaParams or None, got {_quoted(params)}")
     if target_fitness is not None:
         target_fitness = _real(target_fitness, "target_fitness")
     if not isinstance(rng, RandomSource):

@@ -232,6 +232,19 @@ def test_registry_unknown_name_lists_alternatives():
         get_benchmark("ackley")
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["x" * 100_000, 10**5000, None, 3.5, b"sphere"],
+    ids=["long text", "huge integer", "None", "float", "bytes"],
+)
+def test_registry_unknown_name_message_is_short(name):
+    """A long text, a huge integer or any other non-str name is unknown in a
+    short message; only a str is looked up."""
+    with pytest.raises(ValueError, match="^unknown benchmark ") as err:
+        get_benchmark(name)
+    assert len(str(err.value)) < 200
+
+
 def test_registry_default_boxes():
     assert np.all(get_benchmark("rastrigin").default_box(10).upper == 5.12)
     assert np.all(get_benchmark("griewank").default_box(15).upper == 600.0)

@@ -77,6 +77,16 @@ def test_search_space_basic():
     assert not space.contains(np.array([1.5, 1.0]))
 
 
+def test_search_space_contains_a_point_or_a_batch_of_its_length_only():
+    """A point of the wrong length raises, even one that would broadcast."""
+    space = SearchSpace.uniform(3, 0.0, 1.0)
+    for bad in (np.array([0.5]), np.array([0.5, 0.5]), np.full(4, 0.5), np.zeros((2, 2)), 0.5):
+        with pytest.raises(ValueError, match="length 3"):
+            space.contains(bad)
+    assert space.contains(np.full((5, 3), 0.5)), "every row of a batch is in the box"
+    assert not space.contains(np.array([[0.5, 0.5, 0.5], [2.0, 0.5, 0.5]]))
+
+
 def test_search_space_uniform():
     space = SearchSpace.uniform(10, -5.12, 5.12)
     assert space.dim == 10

@@ -185,6 +185,31 @@ def test_sta_run_rejects_a_nan_target_before_evaluating():
     assert len(stopped.history) < 50
 
 
+WRONG_TYPES = {
+    "objective": [None, 3, "sphere"],
+    "space": [[-1.0, 1.0], (np.full(2, -1.0), np.full(2, 1.0)), "x" * 1000, None],
+    "params": [{"se": 3}, 30, StaParams],
+    "observer": [3, "print"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_sta_run_rejects_a_wrong_argument_type_before_evaluating(name):
+    """A caller's wrong argument is a TypeError naming it in a short message,
+    raised before any draw or evaluation, not a RunAborted from the run."""
+    counter = CallCounter(sphere)
+    space = SearchSpace.uniform(2, -1.0, 1.0)
+    duck = type("Box", (), {"lower": space.lower, "upper": space.upper, "dim": 2})()
+    for bad in WRONG_TYPES[name] + ([duck] if name == "space" else []):
+        args = {"objective": counter, "space": space, "params": StaParams(), "observer": None}
+        source = RandomSource(7)
+        with pytest.raises(TypeError, match=f"^{name} must be") as err:
+            sta_run(**{**args, name: bad}, rng=source)
+        assert len(str(err.value)) < 200
+        assert source.uniform(0.0, 1.0, 3).tolist() == RandomSource(7).uniform(0.0, 1.0, 3).tolist()
+    assert counter.count == 0
+
+
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
 def test_cli_rejects_a_non_finite_target_in_one_line(capsys, target):
     code = main(["--function", "sphere", "--dim", "2", "--target-fitness", target])
