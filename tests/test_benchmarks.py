@@ -234,12 +234,11 @@ def test_registry_unknown_name_lists_alternatives():
 
 @pytest.mark.parametrize(
     "name",
-    ["x" * 100_000, 10**5000, None, 3.5, b"sphere"],
-    ids=["long text", "huge integer", "None", "float", "bytes"],
+    ["x" * 100_000, 10**5000, type("Name", (), {"__str__": lambda self: "sphere"})()],
+    ids=["long text", "huge integer", "str-like object"],
 )
 def test_registry_unknown_name_message_is_short(name):
-    """A long text, a huge integer or any other non-str name is unknown in a
-    short message; only a str is looked up."""
+    """Only a str is looked up, and an unknown name, however long, gets a short message."""
     with pytest.raises(ValueError, match="^unknown benchmark ") as err:
         get_benchmark(name)
     assert len(str(err.value)) < 200

@@ -200,8 +200,8 @@ def test_sta_run_rejects_a_wrong_argument_type_before_evaluating(name):
     counter = CallCounter(sphere)
     space = SearchSpace.uniform(2, -1.0, 1.0)
     duck = type("Box", (), {"lower": space.lower, "upper": space.upper, "dim": 2})()
+    args = {"objective": counter, "space": space, "params": StaParams(), "observer": None}
     for bad in WRONG_TYPES[name] + ([duck] if name == "space" else []):
-        args = {"objective": counter, "space": space, "params": StaParams(), "observer": None}
         source = RandomSource(7)
         with pytest.raises(TypeError, match=f"^{name} must be") as err:
             sta_run(**{**args, name: bad}, rng=source)
