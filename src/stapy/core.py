@@ -21,6 +21,10 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = [
+    "EPS", "CallCounter", "RandomSource", "RunResult", "SearchSpace", "Solution", "StaParams"
+]
+
 Array = np.ndarray
 ObjectiveFn = Callable[[Array], float]
 
@@ -231,20 +235,6 @@ class RunResult:
         object.__setattr__(self, "best", _readonly(self.best))
         object.__setattr__(self, "history", _readonly(self.history))
         object.__setattr__(self, "fbest", float(self.fbest))
-
-
-def evaluate_batch(objective: ObjectiveFn, rows: Array) -> Array:
-    """Objective values for every row of an ``(m, n)`` sample array.
-
-    Uses the objective's vectorized form when it advertises
-    ``supports_batch``, otherwise maps the scalar form over rows.  The
-    objective sees a read-only view, so it cannot change the points it is
-    scored on; the caller's array keeps its own flags.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"expected a 2-D batch, got shape {rows.shape}")
-    return CallCounter(objective)._score(rows)
 
 
 class CallCounter:

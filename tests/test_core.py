@@ -12,7 +12,6 @@ from stapy.core import (
     SearchSpace,
     Solution,
     StaParams,
-    evaluate_batch,
 )
 
 
@@ -207,25 +206,25 @@ def test_array_holders_compare_and_hash_by_identity(make):
     assert len({a, a, b}) == 2
 
 
-def test_evaluate_batch_scalar_objective():
+def test_call_counter_score_scalar_objective():
     def f(x):
         return float(np.sum(x))
 
     rows = np.arange(6.0).reshape(3, 2)
-    assert np.array_equal(evaluate_batch(f, rows), [1.0, 5.0, 9.0])
+    assert np.array_equal(CallCounter(f)._score(rows), [1.0, 5.0, 9.0])
 
 
-def test_evaluate_batch_vectorized_objective():
+def test_call_counter_score_vectorized_objective():
     def f(x):
         return np.sum(np.asarray(x), axis=-1)
 
     f.supports_batch = True
     rows = np.arange(6.0).reshape(3, 2)
-    assert np.array_equal(evaluate_batch(f, rows), [1.0, 5.0, 9.0])
+    assert np.array_equal(CallCounter(f)._score(rows), [1.0, 5.0, 9.0])
 
 
 @pytest.mark.parametrize("batch", [False, True])
-def test_evaluate_batch_passes_read_only_view(batch):
+def test_call_counter_score_passes_read_only_view(batch):
     def write(x):
         x[...] = 0.0
         return np.zeros(len(x)) if batch else 0.0
@@ -233,22 +232,17 @@ def test_evaluate_batch_passes_read_only_view(batch):
     write.supports_batch = batch
     rows = np.ones((3, 2))
     with pytest.raises(ValueError, match="read-only"):
-        evaluate_batch(write, rows)
+        CallCounter(write)._score(rows)
     assert rows.flags.writeable and np.all(rows == 1.0)
 
 
-def test_evaluate_batch_rejects_non_2d():
-    with pytest.raises(ValueError):
-        evaluate_batch(lambda x: 0.0, np.zeros(3))
-
-
-def test_evaluate_batch_rejects_bad_batch_shape():
+def test_call_counter_score_rejects_bad_batch_shape():
     def f(x):
         return np.zeros(5)  # wrong length on purpose
 
     f.supports_batch = True
     with pytest.raises(TypeError):
-        evaluate_batch(f, np.zeros((3, 2)))
+        CallCounter(f)._score(np.zeros((3, 2)))
 
 
 def test_call_counter_counts_points_not_calls():

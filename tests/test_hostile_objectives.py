@@ -66,7 +66,7 @@ def boxes(draw):
 
 HOSTILITY = {
     "raise": BackendError,  # the objective raises
-    "shape": TypeError,  # it returns two values per point, which evaluate_batch rejects
+    "shape": TypeError,  # it returns two values per point, which CallCounter._score rejects
     "write": ValueError,  # it writes into the read-only points it is given
 }
 
