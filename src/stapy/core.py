@@ -9,13 +9,20 @@ Conventions used throughout the package:
   it also accepts an ``(m, n)`` array and returns ``m`` values; this is pure
   sugar with semantics identical to mapping the scalar form over the rows.
   Objectives are expected to be deterministic and finite inside the box.
-* :class:`CallCounter` counts evaluations, a caller's and the engine's own.
+* :class:`CallCounter` counts evaluations, a caller's and the engine's own;
+  its private ``_score`` is the one scoring kernel, and every entry point
+  builds one, so a non-callable objective raises TypeError there.
+* An argument of the wrong type (a ``space`` that is no :class:`SearchSpace`,
+  an ``rng`` that is no :class:`RandomSource`) raises TypeError naming it,
+  before any draw; messages quote values through ``_quoted``, in bounded work.
 * Types that hold arrays compare and hash by identity; compare the arrays.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -33,12 +40,18 @@ ObjectiveFn = Callable[[Array], float]
 EPS = float(np.finfo(np.float64).eps)
 
 
+#: Builds a value's repr in bounded work: a container shows its first few items,
+#: nested at most six deep; any other value keeps its whole repr.
+_REPR = reprlib.Repr()
+_REPR.maxother = sys.maxsize
+
+
 def _quoted(value) -> str:
     """``value`` for a message: a text quoted and cut to 20 characters with ``...``,
-    anything else by its repr cut to 40 (every float repr fits)."""
+    anything else by its (shortened) repr cut to 40 (every float repr fits)."""
     if isinstance(value, int) and value.bit_length() > 128:  # repr raises past 4,300 digits
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-    text, width = (value, 20) if isinstance(value, str) else (repr(value), 40)
+    text, width = (value, 20) if isinstance(value, str) else (_REPR.repr(value), 40)
     text = text if len(text) <= width else text[:width] + "..."
     return repr(text) if isinstance(value, str) else text
 
@@ -64,6 +77,13 @@ def _real(value, name: str, above: float = -math.inf) -> float:
     if not above < real < math.inf:
         raise ValueError(f"{name} must be finite and > {above}, got {_quoted(value)}")
     return real
+
+
+def _instance(value, kind: type, name: str):
+    """``value`` if it is a ``kind``, else TypeError naming ``name``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {_quoted(value)}")
+    return value
 
 
 def _readonly(values, dtype=float) -> Array:
@@ -193,13 +213,17 @@ class RandomSource:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low: float, high: float, size=None, out=None):
-        """Uniform reals on [low, high], written into the float64 array ``out`` if given."""
-        if out is None or not abs(high - low) < np.inf:  # a non-finite range raises OverflowError
-            return self._gen.uniform(low, high, size)
-        self._gen.random(out=out)
-        out *= high - low
-        out += low
-        return out
+        """Uniform reals on [low, high], written into the float64 array ``out`` if given.
+
+        The bits of ``Generator.uniform(low, high, size)``; a range ``high - low``
+        that is not finite raises OverflowError, as there, before any draw.
+        """
+        if not abs(high - low) < math.inf:
+            raise OverflowError("high - low range exceeds valid bounds")  # numpy's own message
+        values = self._gen.random(size, out=out)
+        values *= high - low
+        values += low
+        return values
 
     def normal(self, size=None):
         """Standard normal reals (mean 0, variance 1)."""
@@ -241,10 +265,13 @@ class CallCounter:
     """Wrap an objective and count how many points it evaluates.
 
     Batch calls count one evaluation per row.  The wrapper advertises the
-    same ``supports_batch`` capability as the wrapped objective.
+    same ``supports_batch`` capability as the wrapped objective.  A
+    non-callable ``objective`` raises TypeError here, before any call.
     """
 
     def __init__(self, objective: ObjectiveFn):
+        if not callable(objective):
+            raise TypeError(f"objective must be callable, got {_quoted(objective)}")
         self.objective = objective
         self.count = 0
         self.supports_batch = bool(getattr(objective, "supports_batch", False))

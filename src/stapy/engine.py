@@ -45,6 +45,7 @@ from .core import (
     Solution,
     StaParams,
     _count,
+    _instance,
     _quietly,
     _quoted,
     _real,
@@ -91,10 +92,14 @@ def initialize(
     """Best of ``se`` points (an integer >= 1) drawn coordinate-wise uniformly over the box.
 
     Selection follows :func:`select_best`.  The only place the engine raises
-    :class:`EvaluationError`: when no initial point has a finite value.
+    :class:`EvaluationError`: when no initial point has a finite value.  Before
+    any draw, a ``space`` that is not a :class:`SearchSpace`, an ``rng`` that is
+    not a :class:`RandomSource` or a non-callable ``objective`` raises TypeError.
     """
-    u = rng.uniform(0.0, 1.0, (_count(se, "se"), space.dim))
-    x, fx = _quietly(_best, CallCounter(objective), space.lower + u * (space.upper - space.lower))
+    space, se = _instance(space, SearchSpace, "space"), _count(se, "se")
+    rng, evals = _instance(rng, RandomSource, "rng"), CallCounter(objective)
+    u = rng.uniform(0.0, 1.0, (se, space.dim))
+    x, fx = _quietly(_best, evals, space.lower + u * (space.upper - space.lower))
     if fx == np.inf:
         raise EvaluationError("objective is non-finite at every initial point")
     return Solution(x, fx)
@@ -183,12 +188,10 @@ def sta_run(
         result (its count includes the failed point or batch); the original
         error is chained as ``__cause__``.
     """
-    if not callable(objective):
-        raise TypeError(f"objective must be callable, got {_quoted(objective)}")
+    evals = CallCounter(objective)  # a non-callable objective raises here
     if observer is not None and not callable(observer):
         raise TypeError(f"observer must be callable or None, got {_quoted(observer)}")
-    if not isinstance(space, SearchSpace):
-        raise TypeError(f"space must be a SearchSpace, got {_quoted(space)}")
+    _instance(space, SearchSpace, "space")
     if params is None:
         params = StaParams()
     elif not isinstance(params, StaParams):
@@ -197,7 +200,6 @@ def sta_run(
         target_fitness = _real(target_fitness, "target_fitness")
     if not isinstance(rng, RandomSource):
         rng = RandomSource(0 if rng is None else rng)
-    evals = CallCounter(objective)
 
     def result() -> RunResult:  # best, fbest, history, evaluations, seed
         return RunResult(x, fx, np.asarray(history, dtype=float), evals.count, rng.seed)

@@ -13,7 +13,8 @@ are guarded with :data:`~stapy.core.EPS` so zero-norm states never divide by
 zero.
 
 Each sampler judges ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
-ValueError), and its step factor, a finite real > 0, before any draw, then
+ValueError), its step factor, a finite real > 0, and ``rng``, a
+:class:`~stapy.core.RandomSource` (anything else raises TypeError), before any draw, then
 calls its private kernel (``_rotate`` and so on), as the engine's loop does,
 under ``np.errstate(all="ignore")``: an overflow near 1e308 raises no warning.
 """
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import EPS, Array, RandomSource, _count, _quietly, _real
+from .core import EPS, Array, RandomSource, _count, _instance, _quietly, _real
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
@@ -52,6 +53,7 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     Draws: one uniform[-1, 1] block of shape ``(se, n, n)``, in row chunks of
     about 512 KiB (or one matrix), so peak memory is one chunk, not the block.
     """
+    rng = _instance(rng, RandomSource, "rng")
     return _quietly(_rotate, _as_state(best), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
 
 
@@ -81,6 +83,7 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
     new_best = _as_state(new_best, "new_best")
     if old_best.shape != new_best.shape:
         raise ValueError("old_best and new_best must have the same length")
+    rng = _instance(rng, RandomSource, "rng")
     return _quietly(_translate, old_best, new_best, _count(se, "se"), _real(beta, "beta", 0.0), rng)
 
 
@@ -100,6 +103,7 @@ def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:
 
     Draws: one standard-normal block of shape ``(se, n)``.
     """
+    rng = _instance(rng, RandomSource, "rng")
     return _quietly(_expand, _as_state(best), _count(se, "se"), _real(gamma, "gamma", 0.0), rng)
 
 
@@ -117,6 +121,7 @@ def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
     Draws: one uniform-integer vector on {1..n} of shape ``(se,)``, then one
     standard-normal vector of shape ``(se,)``.
     """
+    rng = _instance(rng, RandomSource, "rng")
     return _quietly(_axes, _as_state(best), _count(se, "se"), _real(delta, "delta", 0.0), rng)
 
 

@@ -150,11 +150,14 @@ def test_random_source_determinism_100k_per_kind():
      (-1e300, 1e300)],
 )
 def test_random_source_uniform_out_fills_the_same_bits(low, high):
-    a, b = RandomSource(11), RandomSource(11)
+    """Into ``out``, as a fresh array or as one float: numpy's own ``uniform`` bits."""
+    a, numpy_uniform = RandomSource(11), np.random.Generator(np.random.PCG64(11)).uniform
     out = np.empty((50, 40))
     assert a.uniform(low, high, out=out) is out
-    assert np.array_equal(out, b.uniform(low, high, (50, 40)))
-    assert np.array_equal(a.uniform(low, high, 3), b.uniform(low, high, 3))
+    assert np.array_equal(out, numpy_uniform(low, high, (50, 40)))
+    assert np.array_equal(a.uniform(low, high, 3), numpy_uniform(low, high, 3))
+    one = a.uniform(low, high)
+    assert type(one) is float and one == numpy_uniform(low, high)
 
 
 @pytest.mark.parametrize("low,high", [(-1.7e308, 1.7e308), (1.0, np.nan), (0.0, np.inf)])

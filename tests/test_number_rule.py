@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from stapy.benchmarks import get_benchmark, sphere
 from stapy.cli import main
-from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams
-from stapy.engine import initialize, sta_run
+from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams, _quoted
+from stapy.engine import initialize, select_best, sta_run
 from stapy.expressions import parse_expression
 from stapy.operators import op_axes, op_expand, op_rotate, op_translate
 
@@ -208,6 +208,51 @@ def test_sta_run_rejects_a_wrong_argument_type_before_evaluating(name):
         assert len(str(err.value)) < 200
         assert source.uniform(0.0, 1.0, 3).tolist() == RandomSource(7).uniform(0.0, 1.0, 3).tolist()
     assert counter.count == 0
+
+
+SQUARE = SearchSpace.uniform(2, -1.0, 1.0)
+BLOCKS = {  # "entry point.argument": a call with a counted objective, a source and a bad value
+    "initialize.space": lambda f, rng, bad: initialize(bad, 3, rng, f),
+    "initialize.rng": lambda f, rng, bad: initialize(SQUARE, 3, bad, f),
+    "initialize.objective": lambda f, rng, bad: initialize(SQUARE, 3, rng, bad),
+    "select_best.objective": lambda f, rng, bad: select_best(bad, np.zeros((2, 2))),
+    "CallCounter.objective": lambda f, rng, bad: CallCounter(bad),
+    "op_rotate.rng": lambda f, rng, bad: op_rotate(BEST, 3, 1.0, bad),
+    "op_translate.rng": lambda f, rng, bad: op_translate(OLD, BEST, 3, 1.0, bad),
+    "op_expand.rng": lambda f, rng, bad: op_expand(BEST, 3, 1.0, bad),
+    "op_axes.rng": lambda f, rng, bad: op_axes(BEST, 3, 1.0, bad),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKS))
+def test_a_building_block_rejects_a_wrong_argument_type_before_drawing(case):
+    """initialize, select_best, CallCounter and the samplers judge their argument
+    types as sta_run does: a short TypeError naming the argument, before any draw
+    or evaluation.  A numpy Generator is not a RandomSource, and is not drawn from."""
+    name = case.split(".")[1]
+    counter = CallCounter(sphere)
+    for bad in (None, 7, "x" * 1000, [[-1, -1], [1, 1]], np.random.Generator(np.random.PCG64(7))):
+        source = RandomSource(7)
+        with pytest.raises(TypeError, match=f"^{name} must be") as err:
+            BLOCKS[case](counter, source, bad)
+        assert len(str(err.value)) < 200
+        assert source.uniform(0.0, 1.0, 3).tolist() == RandomSource(7).uniform(0.0, 1.0, 3).tolist()
+        if isinstance(bad, np.random.Generator):
+            assert bad.random() == np.random.Generator(np.random.PCG64(7)).random()
+    assert counter.count == 0
+
+
+def test_quoting_a_large_container_reprs_only_a_few_items():
+    calls = []
+
+    class Item:
+        def __repr__(self):
+            calls.append(self)
+            return "item"
+
+    text = _quoted([Item() for _ in range(100_000)])
+    assert len(calls) <= 10
+    assert text.startswith("[item, item, ") and len(text) <= 43
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
