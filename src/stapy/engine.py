@@ -116,7 +116,8 @@ def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     This is the one selection rule of the engine (``_best``), used by
     :func:`initialize` and by every phase.  A non-finite value counts as
     +inf, which never wins, so a batch with no finite value gives row 0 at
-    fitness ``inf``.  Raises :class:`ValueError` on an empty or non-2-D batch.
+    fitness ``inf``.  Raises :class:`ValueError` on an empty or non-2-D batch,
+    and TypeError on a non-callable objective.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.size == 0:
