@@ -24,6 +24,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -40,9 +41,31 @@ ObjectiveFn = Callable[[Array], float]
 EPS = float(np.finfo(np.float64).eps)
 
 
-#: Builds a value's repr in bounded work: a container shows its first few items,
-#: nested at most six deep; any other value keeps its whole repr.
-_REPR = reprlib.Repr()
+class _Repr(reprlib.Repr):
+    """A value's repr in bounded work: a container shows its first few items, as
+    iterated (``reprlib`` sorts a set or dict whole), nested at most six deep;
+    bytes are cut before their repr; any other value keeps its whole repr."""
+
+    def repr_set(self, x, level):
+        return self._repr_iterable(x, level, "{", "}", self.maxset) if x else "set()"
+
+    def repr_frozenset(self, x, level):
+        return self._repr_iterable(x, level, "frozenset({", "})", self.maxfrozenset) if x else "frozenset()"
+
+    def repr_dict(self, x, level):
+        if not x or level <= 0:
+            return "{...}" if x else "{}"
+        items = islice(x.items(), self.maxdict)
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in items]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+    def repr_bytes(self, x, level):
+        return repr(x[:self.maxstring]) + ("..." if len(x) > self.maxstring else "")
+
+    repr_bytearray = repr_bytes
+
+
+_REPR = _Repr()
 _REPR.maxother = sys.maxsize
 
 
@@ -264,9 +287,11 @@ class RunResult:
 class CallCounter:
     """Wrap an objective and count how many points it evaluates.
 
-    Batch calls count one evaluation per row.  The wrapper advertises the
-    same ``supports_batch`` capability as the wrapped objective.  A
-    non-callable ``objective`` raises TypeError here, before any call.
+    A point or a 0-d value counts one; a stack counts every point along its
+    leading axes, so an ``(m, n)`` batch counts m and an ``(m, k, n)`` stack
+    m * k.  The wrapper advertises the same ``supports_batch`` capability as
+    the wrapped objective.  A non-callable ``objective`` raises TypeError
+    here, before any call.
     """
 
     def __init__(self, objective: ObjectiveFn):
@@ -278,7 +303,7 @@ class CallCounter:
 
     def __call__(self, x: Array):
         x = np.asarray(x)
-        self.count += 1 if x.ndim == 1 else x.shape[0]
+        self.count += math.prod(x.shape[:-1])
         return self.objective(x)
 
     def _score(self, rows: Array) -> Array:

@@ -36,10 +36,11 @@ _FUNCTIONS: dict[str, Callable] = {
 }
 
 _VARIABLE_RE = re.compile(r"^x0*(\d+)$")
+# A token after its whitespace, the end, or the first character that starts none.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?s)\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.))"
 )
 
 
@@ -62,20 +63,13 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        match = _TOKEN_RE.match(text, i)
-        if match is None:
-            # Only whitespace may remain unmatched at the very end.
-            rest = text[i:].lstrip()
-            if not rest:
-                break
-            col = i + (len(text[i:]) - len(rest)) + 1
-            raise ExpressionError(f"unexpected character {rest[0]!r}", col)
-        kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind), match.start(kind) + 1))
-        i = match.end()
-    tokens.append(_Token("end", None, len(text) + 1))
+    for match in _TOKEN_RE.finditer(text):
+        kind, pos = match.lastgroup, match.start(match.lastgroup) + 1
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {match[kind]!r}", pos)
+        tokens.append(_Token(kind, match[kind] or None, pos))  # only the end is empty
+        if kind == "end":  # after trailing whitespace, \Z would match once more
+            break
     return tokens
 
 

@@ -259,6 +259,10 @@ def test_call_counter_counts_points_not_calls():
     counting(np.zeros(4))
     counting(np.zeros((30, 4)))
     assert counting.count == 31
+    counting(np.zeros((4, 5, 3)))  # a stack: every point along its leading axes
+    assert counting.count == 51
+    scalar = CallCounter(float)
+    assert scalar(2.5) == 2.5 and scalar.count == 1  # a 0-d value is one point
 
 
 def test_call_counter_plain_objective():

@@ -327,6 +327,16 @@ def test_sta_run_accepts_random_source_and_defaults_seed_zero():
     assert sta_run(sphere, space, params).seed == 0
 
 
+def test_sta_run_without_params_runs_the_default_params_bit_for_bit():
+    space = SearchSpace.uniform(2, -5.0, 5.0)
+    default = sta_run(sphere, space, None, rng=3)
+    explicit = sta_run(sphere, space, StaParams(), rng=3)
+    assert default.best.tobytes() == explicit.best.tobytes()
+    assert np.float64(default.fbest).tobytes() == np.float64(explicit.fbest).tobytes()
+    assert default.history.tobytes() == explicit.history.tobytes()
+    assert default.evaluations == explicit.evaluations
+
+
 def test_sta_run_survives_non_finite_initial_points():
     """sqrt(x1) is NaN on half of [-1, 1]^2; such points are never selected."""
     f = parse_expression("sqrt(x1) + x2^2", 2)

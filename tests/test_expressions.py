@@ -1,11 +1,13 @@
 """Expression compiler: grammar, precedence, errors, differential checks."""
 
+import re
+
 import numpy as np
 import pytest
 
 from stapy.benchmarks import griewank, paper_quadratic, rastrigin
 from stapy.core import RandomSource
-from stapy.expressions import ExpressionError, parse_expression
+from stapy.expressions import ExpressionError, _tokenize, parse_expression
 
 QUADRATIC = "(x1-1)^2+(x2-2*x1)^2+(x3-3*x2)^2"
 
@@ -232,6 +234,49 @@ def test_error_messages_are_actionable():
 def test_parse_expression_rejects_bad_dim():
     with pytest.raises(ValueError):
         parse_expression("x1", 0)
+
+
+# ----------------------------------------------------------------- tokens
+
+
+def tokens(text):
+    return [(t.kind, t.value, t.pos) for t in _tokenize(text)]
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (" \t ", [("end", None, 4)]),  # whitespace only
+        ("x1 + 2  ", [("name", "x1", 1), ("op", "+", 4), ("num", "2", 6), ("end", None, 9)]),
+        ("x1\t+\n2\u00a0*x2", [("name", "x1", 1), ("op", "+", 4), ("num", "2", 6),
+                              ("op", "*", 8), ("name", "x2", 9), ("end", None, 11)]),
+        ("1e5x", [("num", "1e5", 1), ("name", "x", 4), ("end", None, 5)]),
+    ],
+)
+def test_tokens_carry_kind_text_and_one_based_column(text, expected):
+    assert tokens(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text,message,column",
+    [
+        (" \t\n ", "empty expression", 1),  # whitespace only
+        ("$x1", "unexpected character '$'", 1),
+        ("x1 +\n  # x2", "unexpected character '#'", 8),
+    ],
+)
+def test_scan_errors_name_their_one_based_column(text, message, column):
+    with pytest.raises(ExpressionError, match=re.escape(message)) as info:
+        parse_expression(text, 2)
+    assert info.value.position == column
+
+
+def test_workload_tokens_spell_the_text_at_their_columns():
+    text = workload_text(10)[0]
+    found = tokens(text)
+    assert found[-1] == ("end", None, len(text) + 1)
+    assert all(text[pos - 1:pos - 1 + len(value)] == value for _, value, pos in found[:-1])
+    assert "".join(value for _, value, _ in found[:-1]) == "".join(text.split())
 
 
 # ------------------------------------------------- repeated terms, rolled

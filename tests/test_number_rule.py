@@ -10,6 +10,7 @@ raises ``TypeError`` in a short message, before any random draw.
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -250,9 +251,31 @@ def test_quoting_a_large_container_reprs_only_a_few_items():
             calls.append(self)
             return "item"
 
+        def __lt__(self, other):  # what a sort of a set or a dict's keys would call
+            calls.append(other)
+            return id(self) < id(other)
+
     text = _quoted([Item() for _ in range(100_000)])
     assert len(calls) <= 10
     assert text.startswith("[item, item, ") and len(text) <= 43
+    for container, start in [({Item() for _ in range(100_000)}, "{item, item, "),
+                             ({Item(): Item() for _ in range(100_000)}, "{item: item, ")]:
+        calls.clear()
+        text = _quoted(container)
+        assert len(calls) <= 10
+        assert text.startswith(start) and len(text) <= 43
+
+
+@pytest.mark.parametrize("kind,start", [(bytes, "b'\\x00"), (bytearray, "bytearray(b'\\x00")])
+def test_quoting_ten_megabytes_cuts_them_before_their_repr(kind, start):
+    value = kind(10_000_000)
+    seconds = []
+    for _ in range(3):  # the best of three, so one scheduler pause does not count
+        began = time.perf_counter()
+        text = _quoted(value)
+        seconds.append(time.perf_counter() - began)
+    assert min(seconds) < 0.005
+    assert text.startswith(start) and text.endswith("...") and len(text) <= 43
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
