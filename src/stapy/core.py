@@ -42,9 +42,22 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 class _Repr(reprlib.Repr):
-    """A value's repr in bounded work: a container shows its first few items, as
-    iterated (``reprlib`` sorts a set or dict whole), nested at most six deep;
-    bytes are cut before their repr; any other value keeps its whole repr."""
+    """A value's repr in bounded work: a container or its subclass shows its first few items,
+    as iterated (``reprlib`` sorts a set or dict whole), nested at most six deep; bytes
+    are cut before their repr; an int past 128 bits gives its size; any other value keeps its whole repr."""
+
+    _BASES = (int, list, tuple, dict, set, frozenset, bytes, bytearray)
+
+    def repr1(self, x, level):  # reprlib picks a rule by the exact type name, not a subclass's base
+        base = next((b for b in self._BASES if isinstance(x, b)), None)
+        try:  # a subclass may break what its base's rule calls
+            return getattr(self, f"repr_{base.__name__}")(x, level) if base else super().repr1(x, level)
+        except Exception:
+            return self.repr_instance(x, level)
+
+    def repr_int(self, x, level):  # repr raises past 4,300 digits
+        bits = x.bit_length()
+        return f"{'a negative' if x < 0 else 'an'} integer of {bits} bits" if bits > 128 else repr(x)
 
     def repr_set(self, x, level):
         return self._repr_iterable(x, level, "{", "}", self.maxset) if x else "set()"
@@ -72,8 +85,6 @@ _REPR.maxother = sys.maxsize
 def _quoted(value) -> str:
     """``value`` for a message: a text quoted and cut to 20 characters with ``...``,
     anything else by its (shortened) repr cut to 40 (every float repr fits)."""
-    if isinstance(value, int) and value.bit_length() > 128:  # repr raises past 4,300 digits
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
     text, width = (value, 20) if isinstance(value, str) else (_REPR.repr(value), 40)
     text = text if len(text) <= width else text[:width] + "..."
     return repr(text) if isinstance(value, str) else text
@@ -221,32 +232,29 @@ class StaParams:
 
 
 class RandomSource:
-    """Seedable stream of the three draw kinds the samplers consume.
+    """Seedable stream of the draw kinds the samplers consume.
 
-    Backed by numpy's PCG64 generator.  Identical seeds and identical call
-    sequences reproduce identical streams within this implementation;
-    bit-compatibility with other generators is not a goal.  Instances are
-    single-owner mutable state: share between threads only with external
-    synchronization.  ``seed`` is an integer in [0, 2**64) (``3.0`` counts,
-    ``1.5`` raises ValueError, a string TypeError).
+    Backed by numpy's PCG64 generator; rotation entries are int32 halves of its raw
+    outputs.  Identical seeds and identical call sequences reproduce identical
+    streams within this implementation; bit-compatibility with other generators
+    is not a goal.  Instances are single-owner mutable state: share between
+    threads only with external synchronization.  ``seed`` is an integer in
+    [0, 2**64) (``3.0`` counts, ``1.5`` raises ValueError, a string TypeError).
     """
 
     def __init__(self, seed: int = 0):
         self.seed = _count(seed, "seed", 0, 2**64)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform(self, low: float, high: float, size=None, out=None):
-        """Uniform reals on [low, high], written into the float64 array ``out`` if given.
+    def uniform(self, low: float, high: float, size=None):
+        """Uniform reals on [low, high].
 
         The bits of ``Generator.uniform(low, high, size)``; a range ``high - low``
         that is not finite raises OverflowError, as there, before any draw.
         """
         if not abs(high - low) < math.inf:
             raise OverflowError("high - low range exceeds valid bounds")  # numpy's own message
-        values = self._gen.random(size, out=out)
-        values *= high - low
-        values += low
-        return values
+        return self._gen.random(size) * (high - low) + low
 
     def normal(self, size=None):
         """Standard normal reals (mean 0, variance 1)."""
@@ -255,6 +263,10 @@ class RandomSource:
     def integers(self, n: int, size=None):
         """Uniform integers on {1, ..., n}."""
         return self._gen.integers(1, int(n) + 1, size=size)
+
+    def _int32(self, rows: int, width: int) -> Array:  # two per raw output, low half first
+        words = self._gen.bit_generator.random_raw(rows * ((width + 1) // 2))  # per row, so chunks agree
+        return words.astype("<u8", copy=False).view("<i4").reshape(rows, -1)[:, :width]
 
     def __repr__(self):
         return f"{type(self).__name__}(seed={self.seed})"

@@ -46,12 +46,14 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     """Sample a hypersphere of radius at most ``alpha`` around ``best``.
 
     Each row is ``best + alpha / (n * (||best|| + eps)) * R @ best`` with
-    ``R`` an n-by-n matrix of independent uniform[-1, 1] entries redrawn for
-    every row.  Since ``||R @ best|| <= n * ||best||`` (Frobenius bound), the
+    ``R = K * 2**-31`` redrawn for every row, ``K`` an n-by-n matrix of
+    independent uniform int32s: ``R`` is uniform on the 2**32-point grid of
+    [-1, 1), and ``||R @ best|| <= n * ||best||`` (Frobenius bound), so the
     step norm never exceeds ``alpha``.
 
-    Draws: one uniform[-1, 1] block of shape ``(se, n, n)``, in row chunks of
-    about 512 KiB (or one matrix), so peak memory is one chunk, not the block.
+    Draws: per row, ``ceil(n * n / 2)`` raw 64-bit outputs read as little-endian
+    int32 pairs (an odd n * n drops the last high half), in row chunks of about
+    512 KiB of float64 (or one matrix), so peak memory is one chunk, not the block.
     """
     rng = _instance(rng, RandomSource, "rng")
     return _quietly(_rotate, _as_state(best), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
@@ -61,10 +63,11 @@ def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
     coef = alpha / (n * (math.sqrt(best.dot(best)) + EPS))  # np.linalg.norm's bits
     k = min(se, max(1, _CHUNK_BYTES // (8 * n * n)))
-    buf, steps = np.empty((k, n, n)), np.empty((se, n))
+    buf, steps, scaled = np.empty((k, n, n)), np.empty((se, n)), best * 2.0**-31
     for s in range(0, se, k):
-        rows = steps[s : s + k]
-        np.matmul(rng.uniform(-1.0, 1.0, out=buf[: len(rows)]), best, out=rows)
+        m = min(k, se - s)
+        np.copyto(buf[:m].reshape(m, n * n), rng._int32(m, n * n))
+        np.matmul(buf[:m], scaled, out=steps[s : s + m])
     return best + coef * steps
 
 

@@ -8,6 +8,7 @@ floor.  Any other number raises ``ValueError``, and text (even ``"2.5"``)
 raises ``TypeError`` in a short message, before any random draw.
 """
 
+import collections
 import math
 import sys
 import time
@@ -276,6 +277,67 @@ def test_quoting_ten_megabytes_cuts_them_before_their_repr(kind, start):
         seconds.append(time.perf_counter() - began)
     assert min(seconds) < 0.005
     assert text.startswith(start) and text.endswith("...") and len(text) <= 43
+
+
+class ListSubclass(list):
+    pass
+
+
+class TupleSubclass(tuple):
+    pass
+
+
+class SetSubclass(set):
+    pass
+
+
+class BytesSubclass(bytes):
+    pass
+
+
+MILLION = range(1_000_000)
+
+
+@pytest.mark.parametrize(
+    "make,start",
+    [
+        (lambda: ListSubclass(MILLION), "[0, 1, 2, "),
+        (lambda: TupleSubclass(MILLION), "(0, 1, 2, "),
+        (lambda: collections.defaultdict(int, zip(MILLION, MILLION)), "{0: 0, 1: 1, "),
+        (lambda: collections.OrderedDict(zip(MILLION, MILLION)), "{0: 0, 1: 1, "),
+        (lambda: collections.Counter(MILLION), "{0: 1, 1: 1, "),
+        (lambda: SetSubclass(MILLION), "{0, 1, 2, "),
+        (lambda: BytesSubclass(10_000_000), "b'\\x00"),
+        (lambda: [10**5000] * 1_000_000, "[an integer of 16610 bits, "),
+    ],
+    ids=["list", "tuple", "defaultdict", "OrderedDict", "Counter", "set", "bytes", "nested int"],
+)
+def test_quoting_a_container_subclass_or_a_nested_huge_int_is_bounded(make, start):
+    value = make()
+    seconds = []
+    for _ in range(3):  # the best of three, so one scheduler pause does not count
+        began = time.perf_counter()
+        text = _quoted(value)
+        seconds.append(time.perf_counter() - began)
+    assert min(seconds) < 0.005
+    assert text.startswith(start) and len(text) <= 43
+
+
+def test_quoting_a_subclass_that_breaks_its_bases_rule_falls_back_to_its_name():
+    class Broken(list):
+        def __iter__(self):
+            raise RuntimeError("no iteration")
+
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    assert _quoted(Broken([1])).startswith("<Broken instance at 0x")
+    assert _quoted([Broken([1]), 2]).startswith("[<Broken instance at 0x")
+
+
+def test_sta_run_names_space_for_a_list_holding_a_huge_int():
+    with pytest.raises(TypeError, match=r"^space must be a SearchSpace, got \[an integer of 16610 bits\]$"):
+        sta_run(sphere, [10**5000])
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])

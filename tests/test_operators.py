@@ -86,23 +86,54 @@ def test_rotate_actually_moves():
     assert np.linalg.norm(batch - np.ones(5), axis=1).max() > 0.0
 
 
-@pytest.mark.parametrize("se", [1, 7, 30, 31])
-@pytest.mark.parametrize("n", [1, 10, 100, 300])
-def test_rotate_chunked_draw_equals_whole_block_bits(n, se):
-    """Chunked kernel == one (se, n, n) draw times best, bit for bit.
+def as_signed(half):
+    return half - 2**32 if half >= 2**31 else half
 
-    n = 100 splits se = 7, 30 and 31 into chunks of 6 matrices (7 and 31
-    with a partial last one), and n = 300 draws one matrix per chunk.
+
+@pytest.mark.parametrize("se", [1, 7, 30, 31])
+@pytest.mark.parametrize("n", [1, 10, 100, 101, 300])
+def test_rotate_chunked_draw_equals_whole_block_bits(n, se):
+    """Chunked kernel == one whole block of (se, n, n) int32 entries, bit for bit.
+
+    n = 100 and n = 101 split se = 7, 30 and 31 into chunks of 6 matrices (7
+    and 31 with a partial last one); n = 101 has an odd n * n, so each matrix
+    drops a high half.  n = 300 draws one matrix per chunk.
     """
     best = np.random.default_rng(n).uniform(-5.0, 5.0, n)
-    got_rng, ref_rng = rng(se), rng(se)
+    got_rng, ref_gen = rng(se), np.random.Generator(np.random.PCG64(se))
     got = op_rotate(best, se, 0.5, got_rng)
+    h = (n * n + 1) // 2
+    k = ref_gen.bit_generator.random_raw(se * h).astype("<u8").view("<i4")
+    k = k.reshape(se, 2 * h)[:, : n * n].astype(float).reshape(se, n, n)
     coef = 0.5 / (n * (np.linalg.norm(best) + EPS))
-    ref = best + coef * (ref_rng.uniform(-1.0, 1.0, (se, n, n)) @ best)
-    assert np.array_equal(got, ref)
-    assert np.array_equal(got_rng.uniform(-1.0, 1.0, 5), ref_rng.uniform(-1.0, 1.0, 5)), (
+    assert np.array_equal(got, best + coef * (k @ (best * 2.0**-31)))
+    assert np.array_equal(got_rng.uniform(-1.0, 1.0, 5), ref_gen.uniform(-1.0, 1.0, 5)), (
         "stream position after the call"
     )
+
+
+def test_rotation_entries_are_the_signed_halves_of_raw_words_low_first():
+    words = [int(w) for w in np.random.PCG64(5).random_raw(8)]
+    halves = [as_signed(h) for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+    entries = RandomSource(5)._int32(2, 8)
+    assert entries.dtype == np.int32
+    assert entries.tolist() == [halves[:8], halves[8:]]
+
+
+def test_rotation_entries_of_an_odd_width_drop_each_rows_last_high_half():
+    words = [int(w) for w in np.random.PCG64(6).random_raw(4)]
+    halves = [as_signed(h) for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+    source = RandomSource(6)
+    assert source._int32(2, 3).tolist() == [halves[0:3], halves[4:7]]
+    fifth = np.random.Generator(np.random.PCG64(6)).uniform(0.0, 1.0, 5)[4]
+    assert source.uniform(0.0, 1.0) == fifth, "four raw words consumed"
+
+
+def test_rotation_entries_scale_onto_a_uniform_grid_of_minus_one_to_one():
+    r = RandomSource(8)._int32(1000, 1000) * 2.0**-31
+    assert r.min() >= -1.0 and r.max() < 1.0
+    assert abs(r.mean()) < 3e-3
+    assert abs(r.var() - 1.0 / 3.0) < 3e-3
 
 
 def test_rotate_peak_memory_is_one_chunk_not_the_block():

@@ -43,10 +43,12 @@ def reference_run(f, batch, lower, upper, seed, target=None):
             if kind == "expansion":
                 rows = x + 1.0 * gen.standard_normal((SE, n)) * x
             elif kind == "rotation":
-                r = gen.random((SE, n, n))
-                r *= 2.0
-                r -= 1.0
-                rows = x + alpha / (n * (np.linalg.norm(x) + EPS)) * (r @ x)
+                # R = K * 2**-31, each matrix's int32 entries K read as
+                # little-endian halves of ceil(n*n / 2) raw 64-bit outputs.
+                h = (n * n + 1) // 2
+                k = gen.bit_generator.random_raw(SE * h).astype("<u8").view("<i4")
+                k = k.reshape(SE, 2 * h)[:, : n * n].astype(float).reshape(SE, n, n)
+                rows = x + alpha / (n * (np.linalg.norm(x) + EPS)) * (k @ (x * 2.0**-31))
             else:
                 axes = gen.integers(1, n + 1, size=SE) - 1
                 rows = np.repeat(x[None, :], SE, axis=0)
