@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,21 +140,21 @@ def _read_bounds_file(path: str) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def _config_rows(raw, dim: int) -> list[str]:
-    # Accept [lo, hi] (uniform) or [[lo, hi], ...] (per coordinate).
+def _config_rows(raw) -> Union[str, list[str]]:
+    # Accept [lo, hi] (uniform, one row for every coordinate) or [[lo, hi], ...].
     if isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw):
-        raw = [raw] * dim
+        return "{},{}".format(*raw)
     if not isinstance(raw, list) or not all(isinstance(r, list) and len(r) == 2 for r in raw):
         raise CliError("malformed bounds in config file: expected [lo, hi] or [[lo, hi], ...]")
     return [f"{lo},{hi}" for lo, hi in raw]
 
 
-def _search_space(rows: list[str], dim: int, where: str) -> SearchSpace:
-    # One "LO,HI" (or "LO HI") row per coordinate; SearchSpace judges the box.
-    if len(rows) != dim:
+def _search_space(rows: Union[str, list[str]], dim: int, where: str) -> SearchSpace:
+    # One "LO,HI" (or "LO HI") row per coordinate, or one read once for all; SearchSpace judges the box.
+    if not isinstance(rows, str) and len(rows) != dim:
         raise CliError(f"dim mismatch: {len(rows)} bounds row(s) {where}, expected {dim}")
     pairs = []
-    for k, row in enumerate(rows):
+    for k, row in enumerate([rows] if isinstance(rows, str) else rows):
         try:
             lo, hi = map(float, row.replace(",", " ").split())
         except ValueError:
@@ -163,7 +163,7 @@ def _search_space(rows: list[str], dim: int, where: str) -> SearchSpace:
             ) from None
         pairs.append((lo, hi))
     try:
-        return SearchSpace(*np.array(pairs).T)
+        return SearchSpace(*np.broadcast_to(pairs, (dim, 2)).T)
     except ValueError as err:
         raise CliError(f"malformed bounds {where}: {err}") from err
 
@@ -219,37 +219,40 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         dim = benchmark.fixed_dim
     if dim is None:
         raise CliError("--dim is required")
-    if dim < 1:
-        raise CliError(f"--dim must be a positive integer, got {dim}")
+    if not 1 <= dim <= np.iinfo(np.intp).max // 8:  # numpy indexes no more float64 bounds
+        raise CliError(f"--dim must be a positive integer whose box fits in memory, got {_quoted(dim)}")
 
-    if benchmark is not None:
-        try:
-            space = benchmark.default_box(dim)
-        except ValueError as err:
-            raise CliError(f"dim mismatch: {err}") from err
-        objective = benchmark.objective
-    else:
-        try:
-            objective = parse_expression(function, dim)
-        except ExpressionError as err:
-            start = max(0, min(err.position - 40, len(function) - 80))
-            shown = ("..." if start else "") + function[start:start + 80]
-            shown += "..." if start + 80 < len(function) else ""
-            raise CliError(
-                f"unknown function {shown!r}: not a registered benchmark "
-                f"({', '.join(list_benchmarks())}) and not a valid expression ({err})"
-            ) from err
+    try:  # the box takes memory in proportion to dim
+        if benchmark is not None:
+            try:
+                space = benchmark.default_box(dim)
+            except ValueError as err:
+                raise CliError(f"dim mismatch: {err}") from err
+            objective = benchmark.objective
+        else:
+            try:
+                objective = parse_expression(function, dim)
+            except ExpressionError as err:
+                start = max(0, min(err.position - 40, len(function) - 80))
+                shown = ("..." if start else "") + function[start:start + 80]
+                shown += "..." if start + 80 < len(function) else ""
+                raise CliError(
+                    f"unknown function {shown!r}: not a registered benchmark "
+                    f"({', '.join(list_benchmarks())}) and not a valid expression ({err})"
+                ) from err
 
-    if args.bounds is not None and args.bounds_file is not None:
-        raise CliError("--bounds and --bounds-file are mutually exclusive")
-    if args.bounds is not None:
-        space = _search_space([args.bounds] * dim, dim, "for --bounds")
-    elif args.bounds_file is not None:
-        space = _search_space(_read_bounds_file(args.bounds_file), dim, f"in {args.bounds_file}")
-    elif "bounds" in file_cfg:
-        space = _search_space(_config_rows(file_cfg["bounds"], dim), dim, "in config file")
-    elif benchmark is None:
-        raise CliError("--bounds or --bounds-file is required for expression objectives")
+        if args.bounds is not None and args.bounds_file is not None:
+            raise CliError("--bounds and --bounds-file are mutually exclusive")
+        if args.bounds is not None:
+            space = _search_space(args.bounds, dim, "for --bounds")
+        elif args.bounds_file is not None:
+            space = _search_space(_read_bounds_file(args.bounds_file), dim, f"in {args.bounds_file}")
+        elif "bounds" in file_cfg:
+            space = _search_space(_config_rows(file_cfg["bounds"]), dim, "in config file")
+        elif benchmark is None:
+            raise CliError("--bounds or --bounds-file is required for expression objectives")
+    except MemoryError:
+        raise CliError(f"--dim is too large for its box to fit in memory, got {_quoted(dim)}") from None
 
     overrides = {k: v for k, v in vars(args).items() if k in _PARAM_KEYS and v is not None}
     try:

@@ -4,10 +4,10 @@ Conventions used throughout the package:
 
 * Fitness is always "lower is better"; there is no maximization mode.
 * A sample batch is a plain ``(se, n)`` float array, one candidate per row.
-* Objectives are callables mapping a length-``n`` float vector to a scalar.
-  An objective may additionally advertise ``supports_batch = True``, meaning
-  it also accepts an ``(m, n)`` array and returns ``m`` values; this is pure
-  sugar with semantics identical to mapping the scalar form over the rows.
+* Objectives map a length-``n`` float vector to a number.  One advertising
+  ``supports_batch = True`` also maps an ``(m, n)`` array to ``m`` numbers:
+  pure sugar, scored as the scalar form mapped over the rows.  Either way the
+  values must make an ``(m,)`` array of integers or floats, else TypeError.
   Objectives are expected to be deterministic and finite inside the box.
 * :class:`CallCounter` counts evaluations, a caller's and the engine's own;
   its private ``_score`` is the one scoring kernel, and every entry point
@@ -319,21 +319,28 @@ class CallCounter:
         return self.objective(x)
 
     def _score(self, rows: Array) -> Array:
-        # The engine's evaluation kernel: the values of an (m, n) batch, each point
-        # counted before the objective sees it read-only, aborts included.
+        # The engine's evaluation kernel: each point counted before the objective sees it
+        # read-only, aborts included.  A scalar objective is scored as its batch form, its
+        # values listed over the rows, and one rule judges both before any cast can warn.
         rows = rows.view()
         rows.setflags(write=False)
         if self.supports_batch:
             self.count += len(rows)
-            values = np.asarray(self.objective(rows), dtype=float)
-            if values.shape == (len(rows),):
-                return values
-            raise TypeError(f"batch objective returned shape {values.shape}, expected ({len(rows)},)")
-        objective, values = self.objective, []
-        for row in rows:
-            self.count += 1
-            values.append(float(objective(row)))
-        return np.array(values)
+            values = self.objective(rows)
+        else:
+            objective, values = self.objective, []
+            for row in rows:
+                self.count += 1
+                values.append(objective(row))
+        try:
+            values = np.asarray(values)
+        except ValueError as err:  # values of different shapes
+            raise TypeError(f"objective returned ragged values: {err}") from None
+        if values.shape != (len(rows),):
+            raise TypeError(f"objective returned shape {values.shape}, expected ({len(rows)},)")
+        if values.dtype.kind not in "iuf":
+            raise TypeError(f"objective returned {values.dtype} values, expected integers or floats")
+        return values.astype(float, copy=False)
 
 
 def _quietly(kernel, *args):  # the public entry points' guard, as sta_run guards its loop

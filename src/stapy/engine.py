@@ -184,10 +184,10 @@ def sta_run(
         ``observer`` is not callable, ``space`` is not a :class:`SearchSpace`,
         or ``params`` is neither ``None`` nor a :class:`StaParams`.
     RunAborted
-        When the objective raises or returns an unusable batch, or when no
-        initial point has a finite value.  The exception carries the partial
-        result (its count includes the failed point or batch); the original
-        error is chained as ``__cause__``.
+        When the objective raises, its values break the rule of :mod:`stapy.core`
+        (TypeError), or no initial point has a finite value.  The exception carries
+        the partial result (its count runs through the row or batch that raised, or
+        a rejected value's whole batch); the original error is chained as ``__cause__``.
     """
     evals = CallCounter(objective)  # a non-callable objective raises here
     if observer is not None and not callable(observer):

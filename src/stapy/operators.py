@@ -63,11 +63,10 @@ def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
     coef = alpha / (n * (math.sqrt(best.dot(best)) + EPS))  # np.linalg.norm's bits
     k = min(se, max(1, _CHUNK_BYTES // (8 * n * n)))
-    buf, steps, scaled = np.empty((k, n, n)), np.empty((se, n)), best * 2.0**-31
+    steps, scaled = np.empty((se, n)), best * 2.0**-31
     for s in range(0, se, k):
         m = min(k, se - s)
-        np.copyto(buf[:m].reshape(m, n * n), rng._int32(m, n * n))
-        np.matmul(buf[:m], scaled, out=steps[s : s + m])
+        np.matmul(rng._int32(m, n * n).reshape(m, n, n), scaled, out=steps[s : s + m])
     return best + coef * steps
 
 
