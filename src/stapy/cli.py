@@ -193,9 +193,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         seeds = file_cfg.get("seeds")
         if seeds is not None and args.seed is None:
             if not isinstance(seeds, list) or not seeds:
+                got = "an empty list" if isinstance(seeds, list) else _quoted(seeds)
                 raise CliError(
-                    f"config file {args.config}: seeds must be a non-empty list "
-                    f"of integers, got {_quoted(seeds)}"
+                    f"config file {args.config}: seeds must be a non-empty list of integers, got {got}"
                 )
             argv = [f"--seed={json.dumps(s)}" for s in seeds] + argv
         parser.exit_on_error = False
@@ -221,25 +221,22 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         raise CliError("--dim is required")
     if not 1 <= dim <= np.iinfo(np.intp).max // 8:  # numpy indexes no more float64 bounds
         raise CliError(f"--dim must be a positive integer whose box fits in memory, got {_quoted(dim)}")
+    if benchmark is not None and benchmark.fixed_dim not in (None, dim):
+        raise CliError(
+            f"dim mismatch: benchmark {benchmark.name!r} is fixed to dim {benchmark.fixed_dim}, got {dim}"
+        )
 
     try:  # the box takes memory in proportion to dim
-        if benchmark is not None:
-            try:
-                space = benchmark.default_box(dim)
-            except ValueError as err:
-                raise CliError(f"dim mismatch: {err}") from err
-            objective = benchmark.objective
-        else:
-            try:
-                objective = parse_expression(function, dim)
-            except ExpressionError as err:
-                start = max(0, min(err.position - 40, len(function) - 80))
-                shown = ("..." if start else "") + function[start:start + 80]
-                shown += "..." if start + 80 < len(function) else ""
-                raise CliError(
-                    f"unknown function {shown!r}: not a registered benchmark "
-                    f"({', '.join(list_benchmarks())}) and not a valid expression ({err})"
-                ) from err
+        try:
+            objective = benchmark.objective if benchmark is not None else parse_expression(function, dim)
+        except ExpressionError as err:
+            start = max(0, min(err.position - 40, len(function) - 80))
+            shown = ("..." if start else "") + function[start:start + 80]
+            shown += "..." if start + 80 < len(function) else ""
+            raise CliError(
+                f"unknown function {shown!r}: not a registered benchmark "
+                f"({', '.join(list_benchmarks())}) and not a valid expression ({err})"
+            ) from err
 
         if args.bounds is not None and args.bounds_file is not None:
             raise CliError("--bounds and --bounds-file are mutually exclusive")
@@ -249,7 +246,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
             space = _search_space(_read_bounds_file(args.bounds_file), dim, f"in {args.bounds_file}")
         elif "bounds" in file_cfg:
             space = _search_space(_config_rows(file_cfg["bounds"]), dim, "in config file")
-        elif benchmark is None:
+        elif benchmark is not None:
+            space = benchmark.default_box(dim)
+        else:
             raise CliError("--bounds or --bounds-file is required for expression objectives")
     except MemoryError:
         raise CliError(f"--dim is too large for its box to fit in memory, got {_quoted(dim)}") from None
@@ -302,7 +301,6 @@ def _unwritable(path: str) -> Optional[str]:
 
 def run_command(config: RunConfig) -> int:
     """Check the output paths, execute one run per seed, print summaries, write JSON/CSV."""
-    params_doc = _params_document(config)
     for path in filter(None, (config.out_json, config.out_csv)):
         if reason := _unwritable(path):
             print(f"error: {_line(f'cannot write {path}: {reason}')}", file=sys.stderr)
@@ -333,6 +331,7 @@ def run_command(config: RunConfig) -> int:
 
     outputs = []
     if config.out_json:
+        params_doc = _params_document(config)
         summary = [
             {
                 "seed": seed,

@@ -14,17 +14,15 @@ Conventions used throughout the package:
   builds one, so a non-callable objective raises TypeError there.
 * An argument of the wrong type (a ``space`` that is no :class:`SearchSpace`,
   an ``rng`` that is no :class:`RandomSource`) raises TypeError naming it,
-  before any draw; messages quote values through ``_quoted``, in bounded work.
+  before any draw; ``_quoted`` shows a text or a real number in a message, cut
+  short, and names any other value by its type, so a message costs bounded work.
 * Types that hold arrays compare and hash by identity; compare the arrays.
 """
 
 from __future__ import annotations
 
 import math
-import reprlib
-import sys
 from dataclasses import dataclass, fields
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -41,53 +39,23 @@ ObjectiveFn = Callable[[Array], float]
 EPS = float(np.finfo(np.float64).eps)
 
 
-class _Repr(reprlib.Repr):
-    """A value's repr in bounded work: a container or its subclass shows its first few items,
-    as iterated (``reprlib`` sorts a set or dict whole), nested at most six deep; bytes
-    are cut before their repr; an int past 128 bits gives its size; any other value keeps its whole repr."""
-
-    _BASES = (int, list, tuple, dict, set, frozenset, bytes, bytearray)
-
-    def repr1(self, x, level):  # reprlib picks a rule by the exact type name, not a subclass's base
-        base = next((b for b in self._BASES if isinstance(x, b)), None)
-        try:  # a subclass may break what its base's rule calls
-            return getattr(self, f"repr_{base.__name__}")(x, level) if base else super().repr1(x, level)
-        except Exception:
-            return self.repr_instance(x, level)
-
-    def repr_int(self, x, level):  # repr raises past 4,300 digits
-        bits = x.bit_length()
-        return f"{'a negative' if x < 0 else 'an'} integer of {bits} bits" if bits > 128 else repr(x)
-
-    def repr_set(self, x, level):
-        return self._repr_iterable(x, level, "{", "}", self.maxset) if x else "set()"
-
-    def repr_frozenset(self, x, level):
-        return self._repr_iterable(x, level, "frozenset({", "})", self.maxfrozenset) if x else "frozenset()"
-
-    def repr_dict(self, x, level):
-        if not x or level <= 0:
-            return "{...}" if x else "{}"
-        items = islice(x.items(), self.maxdict)
-        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in items]
-        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
-
-    def repr_bytes(self, x, level):
-        return repr(x[:self.maxstring]) + ("..." if len(x) > self.maxstring else "")
-
-    repr_bytearray = repr_bytes
-
-
-_REPR = _Repr()
-_REPR.maxother = sys.maxsize
-
-
 def _quoted(value) -> str:
-    """``value`` for a message: a text quoted and cut to 20 characters with ``...``,
-    anything else by its (shortened) repr cut to 40 (every float repr fits)."""
-    text, width = (value, 20) if isinstance(value, str) else (_REPR.repr(value), 40)
-    text = text if len(text) <= width else text[:width] + "..."
-    return repr(text) if isinstance(value, str) else text
+    """``value`` for a message, never through its own class's ``__repr__``: a text quoted and cut
+    to 20 characters with ``...``; a real number (a numpy scalar as its ``item()``) by its base
+    type's repr, which fits in 40, or an int past 128 bits by its size; anything else by its type."""
+    if issubclass(type(value), str):  # isinstance would trust a __class__ property
+        head = str.__getitem__(value, slice(21))
+        return repr(head if len(head) <= 20 else head[:20] + "...")
+    if issubclass(type(value), (np.integer, np.floating)):
+        value = np.generic.item(value)
+    if issubclass(type(value), float):
+        return float.__repr__(value)
+    if issubclass(type(value), int):  # bool included, which has no subclass
+        bits = int.bit_length(value)  # repr raises past 4,300 digits
+        if bits > 128:
+            return f"{'a negative' if int.__lt__(value, 0) else 'an'} integer of {bits} bits"
+        return repr(value) if type(value) is bool else int.__repr__(value)
+    return type(value).__name__
 
 
 def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:

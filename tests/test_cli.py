@@ -267,6 +267,18 @@ def test_config_file_long_seeds_value_is_one_short_line(tmp_path, capsys):
     assert len(err.encode()) < 400
 
 
+@pytest.mark.parametrize(
+    "seeds, got", [([], "an empty list"), ({"a": 1}, "dict"), ("17", "'17'"), (True, "True")],
+    ids=["empty", "object", "str", "true"],
+)
+def test_config_file_seeds_message_says_what_the_value_is(tmp_path, capsys, seeds, got):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, "seeds": seeds}))
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: config file {cfg}: seeds must be a non-empty list of integers, got {got}\n"
+
+
 TYPED_FLAGS = (
     "--dim", "--iterations", "--se", "--seed", "--alpha-max", "--alpha-min",
     "--beta", "--gamma", "--delta", "--fc", "--target-fitness",

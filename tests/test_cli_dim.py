@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stapy import cli
 from stapy.cli import main, parse_config
 from stapy.core import SearchSpace
 
@@ -85,3 +86,44 @@ def test_uniform_bounds_are_read_once(tmp_path, source):
     assert peak < 6 * 8 * dim
     assert config.space.dim == dim
     assert np.all(config.space.lower == -1.0) and np.all(config.space.upper == 1.0)
+
+
+def parse_peak(args):
+    tracemalloc.start()
+    try:
+        parse_config(args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_benchmark_with_given_bounds_builds_no_default_box():
+    """Given bounds replace a benchmark's default box, which is then never built."""
+    bounds = ["--dim", str(10**6), "--bounds", "-1,1"]
+    expression = parse_peak(["--function", "x1"] + bounds)
+    benchmark = parse_peak(["--function", "sphere"] + bounds)
+    assert benchmark <= 1.1 * expression
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "file", "default"])
+def test_a_fixed_dim_benchmark_rejects_another_dim_whatever_the_bounds(tmp_path, capsys, source):
+    args = ["--function", "paper_quadratic", "--dim", "4"] + bounds_sources(tmp_path, 4)[source]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: dim mismatch: benchmark 'paper_quadratic' is fixed to dim 3, got 4\n"
+
+
+@pytest.mark.parametrize("out", ["--out-csv", "--out-json"])
+def test_only_a_run_with_out_json_builds_the_params_document(tmp_path, capsys, monkeypatch, out):
+    """The document is built once, after the runs, and only to be written; each seed runs once."""
+    calls = {"_params_document": 0, "sta_run": 0}
+    for name in calls:
+        def counted(*args, real=getattr(cli, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    args = ["--function", "x1", "--dim", "3", "--bounds", "-1,1", "--iterations", "2", "--seed", "1", "--seed", "2"]
+    code, _, err = run_cli(args + [out, str(tmp_path / "out")], capsys)
+    assert code == 0 and err == ""
+    assert calls == {"_params_document": int(out == "--out-json"), "sta_run": 2}
