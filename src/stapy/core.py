@@ -214,15 +214,13 @@ class RandomSource:
         self.seed = _count(seed, "seed", 0, 2**64)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform(self, low: float, high: float, size=None):
-        """Uniform reals on [low, high].
+    def uniform(self, low, high, size=None):
+        """Uniform reals on [low, high): ``Generator.uniform(low, high, size)``.
 
-        The bits of ``Generator.uniform(low, high, size)``; a range ``high - low``
-        that is not finite raises OverflowError, as there, before any draw.
+        Array bounds broadcast with ``size``.  A range ``high - low`` that numpy
+        rejects (not finite, or negative) raises numpy's error before any draw.
         """
-        if not abs(high - low) < math.inf:
-            raise OverflowError("high - low range exceeds valid bounds")  # numpy's own message
-        return self._gen.random(size) * (high - low) + low
+        return self._gen.uniform(low, high, size)
 
     def normal(self, size=None):
         """Standard normal reals (mean 0, variance 1)."""

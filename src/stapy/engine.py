@@ -91,6 +91,8 @@ def initialize(
 ) -> Solution:
     """Best of ``se`` points (an integer >= 1) drawn coordinate-wise uniformly over the box.
 
+    Draws: one ``rng.uniform(space.lower, space.upper, (se, space.dim))`` block.
+
     Selection follows :func:`select_best`.  The only place the engine raises
     :class:`EvaluationError`: when no initial point has a finite value.  Before
     any draw, a ``space`` that is not a :class:`SearchSpace`, an ``rng`` that is
@@ -98,8 +100,7 @@ def initialize(
     """
     space, se = _instance(space, SearchSpace, "space"), _count(se, "se")
     rng, evals = _instance(rng, RandomSource, "rng"), CallCounter(objective)
-    u = rng.uniform(0.0, 1.0, (se, space.dim))
-    x, fx = _quietly(_best, evals, space.lower + u * (space.upper - space.lower))
+    x, fx = _quietly(_best, evals, rng.uniform(space.lower, space.upper, (se, space.dim)))
     if fx == np.inf:
         raise EvaluationError("objective is non-finite at every initial point")
     return Solution(x, fx)

@@ -29,7 +29,8 @@ from .core import EPS, Array, RandomSource, _count, _instance, _quietly, _real
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
-# Bytes of rotation matrices drawn at once, sized to stay in cache for the product.
+# Bytes of float64 rotation entries drawn at once: the bound on the kernel's memory.
+# It does not tune the cache; 64 KiB, 512 KiB and 2.4 MB chunks ran at equal speed.
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -52,8 +53,9 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     step norm never exceeds ``alpha``.
 
     Draws: per row, ``ceil(n * n / 2)`` raw 64-bit outputs read as little-endian
-    int32 pairs (an odd n * n drops the last high half), in row chunks of about
-    512 KiB of float64 (or one matrix), so peak memory is one chunk, not the block.
+    int32 pairs (an odd n * n drops the last high half), in chunks of about
+    512 KiB of float64: whole matrices, or once one matrix is larger, blocks of
+    a multiple of four of its rows (at least two), so memory stays one chunk.
     """
     rng = _instance(rng, RandomSource, "rng")
     return _quietly(_rotate, _as_state(best), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
@@ -62,11 +64,17 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
 def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
     coef = alpha / (n * (math.sqrt(best.dot(best)) + EPS))  # np.linalg.norm's bits
-    k = min(se, max(1, _CHUNK_BYTES // (8 * n * n)))
+    rows = _CHUNK_BYTES // (8 * n)  # matrix rows per chunk
+    k = min(se, max(1, rows // n))
+    # Past one matrix, blocks of a multiple of 4 rows: whole raw outputs, and on one
+    # BLAS thread the whole matrix's bits (OpenBLAS's gemv groups rows by 4).
+    b = n if rows >= n else max(2, rows - rows % 4)
     steps, scaled = np.empty((se, n)), best * 2.0**-31
     for s in range(0, se, k):
         m = min(k, se - s)
-        np.matmul(rng._int32(m, n * n).reshape(m, n, n), scaled, out=steps[s : s + m])
+        for r in range(0, n, b):
+            h = min(b, n - r)
+            np.matmul(rng._int32(m, h * n).reshape(m, h, n), scaled, out=steps[s : s + m, r : r + h])
     return best + coef * steps
 
 
@@ -74,12 +82,12 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
     """Sample along the ray from ``old_best`` through ``new_best``.
 
     Each row is ``new_best + beta * u_i * (new_best - old_best) / (||new_best
-    - old_best|| + eps)`` with ``u_i`` uniform[0, 1] per row: a line search
+    - old_best|| + eps)`` with ``u_i`` uniform on [0, 1) per row: a line search
     beyond the most recent improvement, capped at step length ``beta``.  A
     degenerate segment (``old_best == new_best``) yields rows equal to
     ``new_best``.
 
-    Draws: one uniform[0, 1] vector of shape ``(se,)``.
+    Draws: one uniform vector on [0, beta) of shape ``(se,)``.
     """
     old_best = _as_state(old_best, "old_best")
     new_best = _as_state(new_best, "new_best")
@@ -92,8 +100,7 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
 def _translate(old_best: Array, new_best: Array, se: int, beta: float, rng: RandomSource) -> Array:
     diff = new_best - old_best
     direction = diff / (math.sqrt(diff.dot(diff)) + EPS)
-    steps = beta * rng.uniform(0.0, 1.0, se)
-    return new_best + steps[:, None] * direction
+    return new_best + rng.uniform(0.0, beta, se)[:, None] * direction
 
 
 def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:

@@ -144,24 +144,74 @@ def test_random_source_determinism_100k_per_kind():
         assert np.array_equal(xa, xb), f"{kind} stream not reproducible"
 
 
+def _drawn(draw, source):
+    try:
+        return draw(source)
+    except (ValueError, OverflowError) as error:
+        return type(error), str(error)
+
+
+def _assert_draws_like_numpy(ours, numpys):
+    """``ours(RandomSource(21))`` gives ``numpys(Generator(PCG64(21)))``'s values
+    bit for bit, or its error, and leaves the stream where numpy leaves it."""
+    source, gen = RandomSource(21), np.random.Generator(np.random.PCG64(21))
+    got, want = _drawn(ours, source), _drawn(numpys, gen)
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    else:
+        assert got == want
+    assert source.normal() == gen.standard_normal()
+    return got
+
+
+def _assert_uniform_like_numpy(low, high):
+    """The outcomes of ``uniform(low, high, size)`` at sizes None, 3, (2, 3) and
+    (50, 40), each checked by :func:`_assert_draws_like_numpy`."""
+    return [
+        _assert_draws_like_numpy(
+            lambda source: source.uniform(low, high, size), lambda gen: gen.uniform(low, high, size)
+        )
+        for size in (None, 3, (2, 3), (50, 40))
+    ]
+
+
 @pytest.mark.parametrize(
     "low,high",
     [(-1.0, 1.0), (0.0, 1.0), (-5.12, 5.12), (0.3, 0.7), (-600.0, 600.0), (1e-3, 3.3),
-     (-1e300, 1e300)],
+     (-1e300, 1e300),
+     pytest.param(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 600.0]), id="arrays"),
+     pytest.param(0.0, np.array([[1.0], [2.0]]), id="column"),
+     pytest.param(1.0, 0.0, id="high-below-low"),
+     pytest.param(np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0]), id="arrays-high-below-low")],
 )
 def test_random_source_uniform_out_fills_the_same_bits(low, high):
-    """As a fresh array or as one float: numpy's own ``uniform`` bits."""
-    a, numpy_uniform = RandomSource(11), np.random.Generator(np.random.PCG64(11)).uniform
-    assert np.array_equal(a.uniform(low, high, (50, 40)), numpy_uniform(low, high, (50, 40)))
-    assert np.array_equal(a.uniform(low, high, 3), numpy_uniform(low, high, 3))
-    one = a.uniform(low, high)
-    assert type(one) is float and one == numpy_uniform(low, high)
+    """What numpy's ``uniform`` gives: its bits, or its error for a negative range
+    or bounds that do not broadcast to the size.  Scalar bounds without a size
+    give one float."""
+    drawn = _assert_uniform_like_numpy(low, high)
+    if np.ndim(low) == np.ndim(high) == 0 and low <= high:
+        assert type(drawn[0]) is float
 
 
-@pytest.mark.parametrize("low,high", [(-1.7e308, 1.7e308), (1.0, np.nan), (0.0, np.inf)])
+@pytest.mark.parametrize(
+    "low,high",
+    [(-1.7e308, 1.7e308), (1.0, np.nan), (0.0, np.inf),
+     pytest.param(np.nan, 0.0, id="nan-low"),
+     pytest.param(np.array([0.0, np.nan, 0.0]), 1.0, id="array-nan")],
+)
 def test_random_source_uniform_out_rejects_a_non_finite_range(low, high):
-    with pytest.raises(OverflowError):
-        RandomSource(0).uniform(low, high, 4)
+    """OverflowError before any draw, as numpy raises it, at every size."""
+    for outcome in _assert_uniform_like_numpy(low, high):
+        assert outcome[0] is OverflowError
+
+
+@pytest.mark.parametrize("size", [None, 3, (2, 3)], ids=["none", "int", "2d"])
+@pytest.mark.parametrize("n", [1, 6, 2**40])
+def test_random_source_integers_are_numpys_from_one(n, size):
+    _assert_draws_like_numpy(
+        lambda source: source.integers(n, size), lambda gen: gen.integers(1, n + 1, size)
+    )
 
 
 def test_random_source_seeds_differ():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stapy import operators
 from stapy.core import EPS, RandomSource
 from stapy.operators import op_axes, op_expand, op_rotate, op_translate
 
@@ -146,6 +147,44 @@ def test_rotate_peak_memory_is_one_chunk_not_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_rotate_peak_memory_stays_under_two_chunks_past_one_matrix():
+    """At n = 1000 one matrix is 8 MB; the kernel draws it in blocks of rows."""
+    best, source = np.linspace(-1.0, 1.0, 1000), rng()
+    tracemalloc.start()
+    try:
+        operators._rotate(best, 2, 1.0, source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * operators._CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n", [257, 1000, 1001])
+def test_rotate_in_row_blocks_equals_the_whole_matrix_draw(n, monkeypatch):
+    """Blocks of rows draw the whole matrix's int32 entries, bit for bit, and
+    leave the stream where it leaves it.  The products agree within the bound of
+    reordering each row's sum, 4 * sqrt(n) * eps * alpha plus two ulps of each
+    entry: a BLAS may split the whole matrix's product over threads.  n = 1001
+    has an odd n * n, so each matrix drops a high half."""
+    best, alpha = RandomSource(n).uniform(-1.0, 1.0, n), 0.5
+    source, blocks = rng(3), []
+    draw = source._int32
+
+    def recorded(rows, width):
+        blocks.append(draw(rows, width))
+        return blocks[-1]
+
+    monkeypatch.setattr(source, "_int32", recorded)
+    got = operators._rotate(best, 2, alpha, source)
+    whole = rng(3)
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), whole._int32(2, n * n).ravel())
+    assert source.normal() == whole.normal(), "stream position after the call"
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * 8 * n * n)
+    want = operators._rotate(best, 2, alpha, rng(3))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4 * np.sqrt(n) * eps * alpha + 2 * eps * np.abs(want))
 
 
 # ------------------------------------------------------------- translation
