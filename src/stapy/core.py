@@ -227,8 +227,8 @@ class RandomSource:
         return self._gen.standard_normal(size)
 
     def integers(self, n: int, size=None):
-        """Uniform integers on {1, ..., n}."""
-        return self._gen.integers(1, int(n) + 1, size=size)
+        """Uniform integers on {0, ..., n - 1}: ``Generator.integers(n, size=size)``."""
+        return self._gen.integers(n, size=size)
 
     def _int32(self, rows: int, width: int) -> Array:  # two per raw output, low half first
         words = self._gen.bit_generator.random_raw(rows * ((width + 1) // 2))  # per row, so chunks agree

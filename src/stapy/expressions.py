@@ -110,7 +110,7 @@ class _Parser:
         self._index: dict = {}  # a float's bytes, else an object's id -> its i
         self.lines: list[str] = []  # statements ``tK = ...`` before the return
         self.scope = {"__builtins__": {}, "c": self.constants, "power": np.power,
-                      "_fold": _fold} | _FUNCTIONS
+                      "_fold": _fold, "full": np.full} | _FUNCTIONS
 
     def parse(self) -> str:
         if self.tokens[0].kind == "end":
@@ -287,13 +287,7 @@ class CompiledExpression:
             )
         with np.errstate(all="ignore"):
             value = self._fn(x)
-        if x.ndim == 1:
-            return float(value)
-        value = np.asarray(value, dtype=float)
-        if value.shape != x.shape[:-1]:
-            # Constant (sub)expressions collapse to scalars; spread them out.
-            value = np.broadcast_to(value, x.shape[:-1]).copy()
-        return value
+        return float(value) if x.ndim == 1 else value
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text!r}, dim={self.dim})"
@@ -312,6 +306,8 @@ def parse_expression(text: str, dim: int) -> CompiledExpression:
     try:
         source = parser.parse()
         body = "".join(f"    {line}\n" for line in parser.lines)
+        if "x[" not in body + source:  # a constant, spread over the points
+            source = f"full(x.shape[:-1], {source})"
         exec(f"def f(x):\n{body}    return {source}", parser.scope)
         fn = parser.scope["f"]
     except (RecursionError, SyntaxError):

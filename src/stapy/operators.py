@@ -124,10 +124,10 @@ def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
     """Perturb a single, uniformly chosen coordinate per sample.
 
     Row ``i`` equals ``best`` except at one axis ``j_i`` drawn uniformly from
-    {1..n}, where it is ``best[j_i] + delta * g_i * best[j_i]`` with ``g_i``
+    {0..n-1}, where it is ``best[j_i] + delta * g_i * best[j_i]`` with ``g_i``
     standard normal.  Strengthens search along coordinate directions.
 
-    Draws: one uniform-integer vector on {1..n} of shape ``(se,)``, then one
+    Draws: one uniform-integer vector on {0..n-1} of shape ``(se,)``, then one
     standard-normal vector of shape ``(se,)``.
     """
     rng = _instance(rng, RandomSource, "rng")
@@ -135,7 +135,7 @@ def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
 
 
 def _axes(best: Array, se: int, delta: float, rng: RandomSource) -> Array:
-    axes = rng.integers(best.size, size=se) - 1
+    axes = rng.integers(best.size, size=se)
     gains = rng.normal(se)
     rows = np.repeat(best[None, :], se, axis=0)
     rows[np.arange(se), axes] += delta * gains * best[axes]

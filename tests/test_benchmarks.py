@@ -145,10 +145,10 @@ def test_builtin_objectives_equal_their_textbook_form_bit_for_bit():
         batch = rng.uniform(-5.0, 5.0, (7, n))
         nested = rng.uniform(-50.0, 50.0, (2, 3, n))
         hostile = rng.uniform(-1.0, 1.0, (len(HOSTILE), n))
-        hostile[np.arange(len(HOSTILE)), rng.integers(n, len(HOSTILE)) - 1] = HOSTILE
+        hostile[np.arange(len(HOSTILE)), rng.integers(n, len(HOSTILE))] = HOSTILE
         hostile_nested = np.where(
             rng.uniform(0.0, 1.0, (4, 5, n)) < 0.3,
-            np.array(HOSTILE)[rng.integers(len(HOSTILE), (4, 5, n)) - 1],
+            np.array(HOSTILE)[rng.integers(len(HOSTILE), (4, 5, n))],
             rng.uniform(-600.0, 600.0, (4, 5, n)),
         )
         for fn, textbook in TEXTBOOK.items():
@@ -189,7 +189,7 @@ def test_griewank_point_equals_its_batch_row_and_textbook_bit_for_bit():
         # Near the origin the product's last bits reach the result.
         scales = np.array([[600.0], [60.0], [6.0], [3.0], [1.0], [0.3]])
         finite = rng.uniform(-1.0, 1.0, (6, n)) * scales
-        picked = entries[rng.integers(len(entries), (12, n)) - 1]
+        picked = entries[rng.integers(len(entries), (12, n))]
         hostile = np.where(
             rng.uniform(0.0, 1.0, (12, n)) < 0.3, picked, rng.uniform(-600.0, 600.0, (12, n))
         )

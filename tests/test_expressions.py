@@ -85,10 +85,13 @@ def test_batch_evaluation_matches_scalar():
 
 
 def test_constant_expression_broadcasts_over_batch():
-    f = parse_expression("3.5", 2)
-    assert f(np.zeros(2)) == 3.5
-    out = f(np.zeros((4, 2)))
-    assert out.shape == (4,) and np.all(out == 3.5)
+    for text, value in (("3.5", 3.5), ("10-4-3", 3.0)):  # one literal, and a chain of them
+        f = parse_expression(text, 2)
+        assert f(np.zeros(2)) == value
+        for x in (np.zeros((4, 2)), np.zeros((3, 4, 2))):
+            out = f(x)
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert out.shape == x.shape[:-1] and out.flags.writeable and np.all(out == value)
 
 
 def test_domain_violations_yield_non_finite_not_raise():
