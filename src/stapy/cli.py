@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .benchmarks import get_benchmark, list_benchmarks
-from .core import ObjectiveFn, RandomSource, SearchSpace, StaParams, _quoted, _real
+from .core import ObjectiveFn, SearchSpace, StaParams, _count, _quoted, _real
 from .engine import RunAborted, sta_run
 from .expressions import ExpressionError, parse_expression
 
@@ -256,7 +256,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     overrides = {k: v for k, v in vars(args).items() if k in _PARAM_KEYS and v is not None}
     try:
         params = StaParams(**overrides)
-        seeds = tuple(RandomSource(s).seed for s in args.seed or [0])
+        seeds = tuple(_count(s, "seed", 0, 2**64) for s in args.seed or [0])
         if args.target_fitness is not None:
             args.target_fitness = _real(args.target_fitness, "target_fitness")
     except ValueError as err:

@@ -124,9 +124,8 @@ class SearchSpace:
                 f"lower bound must be strictly below upper bound "
                 f"(coordinate {bad}: [{lower[bad]}, {upper[bad]}])"
             )
-        with np.errstate(over="ignore"):
-            if not np.isfinite(upper - lower).all():
-                raise ValueError("box width upper - lower overflows to inf")
+        if not np.isfinite(_quietly(np.subtract, upper, lower)).all():
+            raise ValueError("box width upper - lower overflows to inf")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -267,9 +266,10 @@ class CallCounter:
 
     A point or a 0-d value counts one; a stack counts every point along its
     leading axes, so an ``(m, n)`` batch counts m and an ``(m, k, n)`` stack
-    m * k.  The wrapper advertises the same ``supports_batch`` capability as
-    the wrapped objective.  A non-callable ``objective`` raises TypeError
-    here, before any call.
+    m * k.  ``__call__`` counts every batch, the engine's included; only
+    ``_score``'s per-row loop counts a scalar objective's rows inline.  The
+    wrapper advertises the same ``supports_batch`` capability as the wrapped
+    objective.  A non-callable ``objective`` raises TypeError here, before any call.
     """
 
     def __init__(self, objective: ObjectiveFn):
@@ -286,13 +286,12 @@ class CallCounter:
 
     def _score(self, rows: Array) -> Array:
         # The engine's evaluation kernel: each point counted before the objective sees it
-        # read-only, aborts included.  A scalar objective is scored as its batch form, its
-        # values listed over the rows, and one rule judges both before any cast can warn.
+        # read-only, aborts included: a batch by __call__, a scalar objective's rows inline,
+        # its values listed over the rows; one rule judges both before any cast can warn.
         rows = rows.view()
         rows.setflags(write=False)
         if self.supports_batch:
-            self.count += len(rows)
-            values = self.objective(rows)
+            values = self(rows)
         else:
             objective, values = self.objective, []
             for row in rows:
@@ -309,7 +308,7 @@ class CallCounter:
         return values.astype(float, copy=False)
 
 
-def _quietly(kernel, *args):  # the public entry points' guard, as sta_run guards its loop
+def _quietly(kernel, *args):  # every float guard but sta_run's, which guards its whole loop
     with np.errstate(all="ignore"):
         return kernel(*args)
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, _count, _quoted
+from .core import Array, _count, _quietly, _quoted
 
 __all__ = ["ExpressionError", "CompiledExpression", "parse_expression"]
 
@@ -75,6 +75,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 _CONSTANT_RE = re.compile(r"c\[(\d+)\]")
 _INPUT_RE = re.compile(r"x\[|\bt\d")  # reads a variable or a temporary
+_LONE_RE = re.compile(r"\(*x\[\.\.\., \d+\]\)*")  # a lone variable, a view of x
 # A term's slots: its variables, and its literals but a literal exponent (its
 # only ``, c[i]``), so a rolled power keeps numpy's scalar fast paths (square).
 _SLOT_RE = re.compile(r"x\[\.\.\., (\d+)\]|(?<!, )c\[(\d+)\]")
@@ -150,11 +151,10 @@ class _Parser:
         return f"t{len(self.lines) - 1}"
 
     def _folded(self, source: str) -> str:
-        """``source`` or, if it reads no variable, one literal of its value."""
+        """``source`` or, if it reads no variable, one literal of its value (its calls made once)."""
         if _INPUT_RE.search(source) or _CONSTANT_RE.fullmatch(source):
             return source
-        with np.errstate(all="ignore"):  # the same numpy scalar calls, made once
-            return self._constant(np.float64(eval(source, self.scope)))
+        return self._constant(np.float64(_quietly(eval, source, self.scope)))
 
     def _joined(self, parts: list[str]) -> str:
         # Left-associative operands and operators, cut every 500 parts into a
@@ -285,8 +285,7 @@ class CompiledExpression:
                 f"expression over {self.dim} variables got a point of "
                 f"length {x.shape[-1] if x.ndim else '0 (a scalar)'}"
             )
-        with np.errstate(all="ignore"):
-            value = self._fn(x)
+        value = _quietly(self._fn, x)
         return float(value) if x.ndim == 1 else value
 
     def __repr__(self):
@@ -306,7 +305,7 @@ def parse_expression(text: str, dim: int) -> CompiledExpression:
     try:
         source = parser.parse()
         body = "".join(f"    {line}\n" for line in parser.lines)
-        if "x[" not in body + source:  # a constant, spread over the points
+        if "x[" not in body + source or _LONE_RE.fullmatch(source):  # spread into a new array
             source = f"full(x.shape[:-1], {source})"
         exec(f"def f(x):\n{body}    return {source}", parser.scope)
         fn = parser.scope["f"]

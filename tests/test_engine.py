@@ -456,6 +456,39 @@ class BackendError(RuntimeError):
     pass
 
 
+@pytest.mark.parametrize("entry", ["sta_run", "initialize", "select_best"])
+def test_batch_objective_is_called_only_inside_call_counter_call(monkeypatch, entry):
+    """Every batch is scored through ``CallCounter.__call__``, the one place
+    that counts it, and the count equals the points the objective saw."""
+    depth, seen = [0], []
+    call = CallCounter.__call__
+
+    def counted(self, x):
+        depth[0] += 1
+        try:
+            return call(self, x)
+        finally:
+            depth[0] -= 1
+
+    def f(x):
+        seen.append((depth[0] > 0, len(x)))
+        return sphere(x)
+
+    f.supports_batch = True
+    monkeypatch.setattr(CallCounter, "__call__", counted)
+    space = SearchSpace.uniform(3, -5.0, 5.0)
+    if entry == "sta_run":
+        evaluations = sta_run(f, space, StaParams(se=5, iterations=20), rng=3).evaluations
+    elif entry == "initialize":
+        initialize(space, 7, rng(1), f)
+        evaluations = 7
+    else:
+        select_best(f, np.zeros((4, 3)))
+        evaluations = 4
+    assert seen and all(inside for inside, _ in seen)
+    assert evaluations == sum(points for _, points in seen)
+
+
 @pytest.mark.parametrize("j", [1, 4, 9])
 @pytest.mark.parametrize("k", [0, 2, 4])
 def test_abort_counts_the_scalar_row_that_raised(j, k):

@@ -94,6 +94,26 @@ def test_constant_expression_broadcasts_over_batch():
             assert out.shape == x.shape[:-1] and out.flags.writeable and np.all(out == value)
 
 
+@pytest.mark.parametrize("text,column", [("x1", 0), ("(x1)", 0), ("+x1", 0), ("x02", 1), ("((x2))", 1)])
+def test_lone_variable_returns_a_new_array(text, column):
+    """A lone variable is spread like a constant: never a view of the caller's batch."""
+    f = parse_expression(text, 2)
+    batch = np.array([[-0.0, np.nan], [np.nan, -0.0], [1.5, 2.5]])
+    for x in (batch, np.stack([batch] * 4)):
+        before = x.copy()
+        out = f(x)
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.shape == x.shape[:-1] and out.flags.writeable
+        assert not np.shares_memory(out, x)
+        want = x[..., column]  # the same bits: -0.0 and NaN kept
+        assert np.array_equal(out, want, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        out[...] = 5.0
+        assert np.array_equal(x, before, equal_nan=True)
+    point = f(batch[2])
+    assert type(point) is float and point == batch[2, column]
+
+
 def test_domain_violations_yield_non_finite_not_raise():
     f = parse_expression("sqrt(x1)", 1)
     assert np.isnan(f(np.array([-1.0])))
