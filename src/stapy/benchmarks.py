@@ -62,7 +62,7 @@ def rastrigin(x) -> Union[np.float64, Array]:
 @lru_cache(maxsize=32)
 def _sqrt_index(n: int) -> Array:
     """Read-only ``sqrt(1), ..., sqrt(n)``, griewank's divisors."""
-    return _readonly(np.sqrt(np.arange(1, n + 1, dtype=float)))
+    return _readonly(np.sqrt(np.arange(1, n + 1, dtype=float)), "divisors")
 
 
 def griewank(x) -> Union[np.float64, Array]:

@@ -3,7 +3,6 @@
 Conventions used throughout the package:
 
 * Fitness is always "lower is better"; there is no maximization mode.
-* A sample batch is a plain ``(se, n)`` float array, one candidate per row.
 * Objectives map a length-``n`` float vector to a number.  One advertising
   ``supports_batch = True`` also maps an ``(m, n)`` array to ``m`` numbers:
   pure sugar, scored as the scalar form mapped over the rows.  Either way the
@@ -12,11 +11,13 @@ Conventions used throughout the package:
 * :class:`CallCounter` counts evaluations, a caller's and the engine's own;
   its private ``_score`` is the one scoring kernel, and every entry point
   builds one, so a non-callable objective raises TypeError there.
-* An argument of the wrong type (a ``space`` that is no :class:`SearchSpace`,
-  an ``rng`` that is no :class:`RandomSource`) raises TypeError naming it,
-  before any draw; ``_quoted`` shows a text or a real number in a message, cut
-  short, and names any other value by its type, so a message costs bounded work.
-* Types that hold arrays compare and hash by identity; compare the arrays.
+* An argument of the wrong type (a ``space`` that is no :class:`SearchSpace`, an
+  ``rng`` that is no :class:`RandomSource`, an array of other than integers or
+  floats, judged by its dtype before any cast) raises TypeError naming it, before any
+  draw; ``_quoted`` shows a text or a number cut short, and any other value by type.
+* A sample batch is a plain ``(se, n)`` float array, one candidate per row; a
+  sampler's state or a bound is a finite, non-empty 1-D vector.  Types that hold
+  arrays keep read-only float64 copies and compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -88,10 +89,25 @@ def _instance(value, kind: type, name: str):
     return value
 
 
-def _readonly(values, dtype=float) -> Array:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _readonly(values, name: str, ndim: int | None = None) -> Array:  # as a read-only float64 copy
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged: numpy's own message runs past 150 characters
+        raise ValueError(f"{name} must be a regular array, got a ragged sequence") from None
+    if array.dtype.kind not in "iuf":  # before any cast, as _score judges values
+        raise TypeError(f"{name} must hold integers or floats, got {array.dtype.name} values")
+    if ndim is not None and (array.ndim != ndim or array.size == 0):
+        raise ValueError(f"{name} must be a non-empty {ndim}-D array, got shape {array.shape}")
+    array = array.astype(float)
+    array.setflags(write=False)
+    return array
+
+
+def _vector(values, name: str) -> Array:  # _readonly as a finite, non-empty 1-D vector
+    vector = _readonly(values, name, 1)
+    if not np.isfinite(vector).all():
+        raise ValueError(f"{name} must be finite")
+    return vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +116,7 @@ class SearchSpace:
 
     Parameters
     ----------
-    lower, upper : array_like, shape (n,)
+    lower, upper : array_like of integers or floats, shape (n,)
         Finite per-coordinate bounds with ``lower[i] < upper[i]`` strictly
         and a finite width ``upper[i] - lower[i]``, so uniform initialization
         over the box is well defined.
@@ -110,16 +126,11 @@ class SearchSpace:
     upper: Array
 
     def __post_init__(self):
-        lower = _readonly(self.lower)
-        upper = _readonly(self.upper)
-        if lower.ndim != 1 or upper.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError("lower and upper must be 1-D arrays of equal length")
-        if lower.size < 1:
-            raise ValueError("search space needs at least one dimension")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ValueError("bounds must be finite")
+        lower, upper = _vector(self.lower, "bounds"), _vector(self.upper, "bounds")
+        if lower.shape != upper.shape:
+            raise ValueError(f"lower and upper differ in length: {lower.size} and {upper.size}")
         if not (lower < upper).all():
-            bad = int(np.argmin(upper - lower))
+            bad = int(np.argmin(lower < upper))  # the first; a width could overflow and warn
             raise ValueError(
                 f"lower bound must be strictly below upper bound "
                 f"(coordinate {bad}: [{lower[bad]}, {upper[bad]}])"
@@ -137,12 +148,12 @@ class SearchSpace:
     def uniform(cls, dim: int, lo: float, hi: float) -> "SearchSpace":
         """Box with the same ``[lo, hi]`` interval on every coordinate."""
         dim = _count(dim, "dim")
-        return cls(np.full(dim, lo, dtype=float), np.full(dim, hi, dtype=float))
+        return cls(np.full(dim, _real(lo, "lo")), np.full(dim, _real(hi, "hi")))
 
     def contains(self, x: Array) -> bool:
         """Whether a point of shape ``(n,)``, or every row of a batch of shape
         ``(m, n)``, lies in the box; another last axis raises ValueError."""
-        x = np.asarray(x, dtype=float)
+        x = _readonly(x, "x")
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected points of length {self.dim}, got shape {x.shape}")
         return bool((x >= self.lower).all() and (x <= self.upper).all())
@@ -156,7 +167,7 @@ class Solution:
     fitness: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _readonly(self.coords))
+        object.__setattr__(self, "coords", _readonly(self.coords, "coords"))
         object.__setattr__(self, "fitness", float(self.fitness))
 
 
@@ -256,8 +267,8 @@ class RunResult:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "best", _readonly(self.best))
-        object.__setattr__(self, "history", _readonly(self.history))
+        object.__setattr__(self, "best", _readonly(self.best, "best"))
+        object.__setattr__(self, "history", _readonly(self.history, "history"))
         object.__setattr__(self, "fbest", float(self.fbest))
 
 

@@ -48,6 +48,7 @@ from .core import (
     _instance,
     _quietly,
     _quoted,
+    _readonly,
     _real,
 )
 from .operators import _axes, _expand, _rotate, _translate
@@ -118,11 +119,9 @@ def select_best(objective: ObjectiveFn, batch: Array) -> Solution:
     :func:`initialize` and by every phase.  A non-finite value counts as
     +inf, which never wins, so a batch with no finite value gives row 0 at
     fitness ``inf``.  Raises :class:`ValueError` on an empty or non-2-D batch,
-    and TypeError on a non-callable objective.
+    and TypeError on a non-callable objective or a batch not of integers or floats.
     """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.size == 0:
-        raise ValueError(f"batch must be a non-empty 2-D array, got shape {batch.shape}")
+    batch = _readonly(batch, "batch", 2)
     return Solution(*_quietly(_best, CallCounter(objective), batch))
 
 
@@ -204,7 +203,7 @@ def sta_run(
         rng = RandomSource(0 if rng is None else rng)
 
     def result() -> RunResult:  # best, fbest, history, evaluations, seed
-        return RunResult(x, fx, np.asarray(history, dtype=float), evals.count, rng.seed)
+        return RunResult(x, fx, history, evals.count, rng.seed)
 
     x: Optional[Array] = None
     history: list[float] = []

@@ -12,11 +12,11 @@ documented property of the method, not an oversight; the norm denominators
 are guarded with :data:`~stapy.core.EPS` so zero-norm states never divide by
 zero.
 
-Each sampler judges ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
+Before any draw, each sampler judges its state, a finite, non-empty 1-D vector
+of integers or floats, ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
 ValueError), its step factor, a finite real > 0, and ``rng``, a
-:class:`~stapy.core.RandomSource` (anything else raises TypeError), before any draw, then
-calls its private kernel (``_rotate`` and so on), as the engine's loop does,
-under ``np.errstate(all="ignore")``: an overflow near 1e308 raises no warning.
+:class:`~stapy.core.RandomSource`.  It then calls its private kernel (``_rotate``
+and so on) under ``np.errstate(all="ignore")``, as the engine's loop does.
 """
 
 from __future__ import annotations
@@ -25,22 +25,13 @@ import math
 
 import numpy as np
 
-from .core import EPS, Array, RandomSource, _count, _instance, _quietly, _real
+from .core import EPS, Array, RandomSource, _count, _instance, _quietly, _real, _vector
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
-# Bytes of float64 rotation entries drawn at once: the bound on the kernel's memory.
-# It does not tune the cache; 64 KiB, 512 KiB and 2.4 MB chunks ran at equal speed.
+# Bytes of float64 rotation entries drawn at once: the bound on the kernel's memory, and the
+# fastest size measured with int32 draws (n = 100, se = 30; see ROADMAP, "Not worth pursuing").
 _CHUNK_BYTES = 512 * 1024
-
-
-def _as_state(x, name: str = "best") -> Array:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} must be finite")
-    return x
 
 
 def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
@@ -58,7 +49,7 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     a multiple of four of its rows (at least two), so memory stays one chunk.
     """
     rng = _instance(rng, RandomSource, "rng")
-    return _quietly(_rotate, _as_state(best), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
+    return _quietly(_rotate, _vector(best, "best"), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
 
 
 def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
@@ -89,8 +80,7 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
 
     Draws: one uniform vector on [0, beta) of shape ``(se,)``.
     """
-    old_best = _as_state(old_best, "old_best")
-    new_best = _as_state(new_best, "new_best")
+    old_best, new_best = _vector(old_best, "old_best"), _vector(new_best, "new_best")
     if old_best.shape != new_best.shape:
         raise ValueError("old_best and new_best must have the same length")
     rng = _instance(rng, RandomSource, "rng")
@@ -113,7 +103,7 @@ def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:
     Draws: one standard-normal block of shape ``(se, n)``.
     """
     rng = _instance(rng, RandomSource, "rng")
-    return _quietly(_expand, _as_state(best), _count(se, "se"), _real(gamma, "gamma", 0.0), rng)
+    return _quietly(_expand, _vector(best, "best"), _count(se, "se"), _real(gamma, "gamma", 0.0), rng)
 
 
 def _expand(best: Array, se: int, gamma: float, rng: RandomSource) -> Array:
@@ -131,7 +121,7 @@ def op_axes(best, se: int, delta: float, rng: RandomSource) -> Array:
     standard-normal vector of shape ``(se,)``.
     """
     rng = _instance(rng, RandomSource, "rng")
-    return _quietly(_axes, _as_state(best), _count(se, "se"), _real(delta, "delta", 0.0), rng)
+    return _quietly(_axes, _vector(best, "best"), _count(se, "se"), _real(delta, "delta", 0.0), rng)
 
 
 def _axes(best: Array, se: int, delta: float, rng: RandomSource) -> Array:
