@@ -61,7 +61,7 @@ def _quoted(value) -> str:
 
 def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
     """``value`` as an int in ``[low, high)``; a float counts only if integral, never truncated."""
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be an integer, got {_quoted(value)}")
     count = int(value) if isinstance(value, (int, np.integer)) or value.is_integer() else None
     if count is None or not low <= count < high:
@@ -69,15 +69,16 @@ def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
     return count
 
 
-def _real(value, name: str, above: float = -math.inf) -> float:
-    """``value`` (an int, a float or a numpy number) as a finite float greater than ``above``."""
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+def _real(value, name: str, above: float = -math.inf, finite: bool = True) -> float:
+    """``value`` (an int, a float or a numpy number, never a bool) as a float; unless
+    ``finite`` is false, a finite one greater than ``above``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be a real number, got {_quoted(value)}")
     try:
         real = float(value)
     except OverflowError:  # an int beyond the float range
-        real = math.inf
-    if not above < real < math.inf:
+        real = math.inf if value > 0 else -math.inf
+    if finite and not above < real < math.inf:
         raise ValueError(f"{name} must be finite and > {above}, got {_quoted(value)}")
     return real
 
@@ -168,7 +169,7 @@ class Solution:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _readonly(self.coords, "coords"))
-        object.__setattr__(self, "fitness", float(self.fitness))
+        object.__setattr__(self, "fitness", _real(self.fitness, "fitness", finite=False))
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,9 @@ class RunResult:
     def __post_init__(self):
         object.__setattr__(self, "best", _readonly(self.best, "best"))
         object.__setattr__(self, "history", _readonly(self.history, "history"))
-        object.__setattr__(self, "fbest", float(self.fbest))
+        object.__setattr__(self, "fbest", _real(self.fbest, "fbest", finite=False))
+        object.__setattr__(self, "evaluations", _count(self.evaluations, "evaluations", 0))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0, 2**64))
 
 
 class CallCounter:

@@ -19,12 +19,14 @@ incumbent's fitness is kept with its coordinates, so a phase costs exactly
 values follow one rule: they count as +inf, and +inf never wins a strict
 comparison.
 
-:func:`sta_run`'s loop runs on plain arrays, under one
-``np.errstate(all="ignore")``, through private kernels that check nothing
-(the samplers' own, ``_clamp``, ``_best``, ``_phase`` and the ``_score`` of
-the run's one :class:`~stapy.core.CallCounter`, which counts every point).
-Only :func:`initialize` and :func:`select_best` wrap a kernel in public: they
-validate their arguments once, then call ``_best`` under their own guard.
+:func:`sta_run` drives one seed's loop, the private generator ``_walk``, which
+yields each clamped batch, is sent its best ``(y, fy)`` and never scores.  The
+run answers every batch, ``_start``'s initial one included, with one call,
+``_best``, through the ``_score`` of its one :class:`~stapy.core.CallCounter`,
+which counts every point.  Its kernels check nothing and run on plain arrays
+under one ``np.errstate(all="ignore")``.  Only :func:`initialize` and
+:func:`select_best` wrap a kernel in public: they validate their arguments
+once, then call it under their own guard.
 """
 
 from __future__ import annotations
@@ -94,17 +96,21 @@ def initialize(
 
     Draws: one ``rng.uniform(space.lower, space.upper, (se, space.dim))`` block.
 
-    Selection follows :func:`select_best`.  The only place the engine raises
-    :class:`EvaluationError`: when no initial point has a finite value.  Before
-    any draw, a ``space`` that is not a :class:`SearchSpace`, an ``rng`` that is
-    not a :class:`RandomSource` or a non-callable ``objective`` raises TypeError.
+    Selection follows :func:`select_best`, and :class:`EvaluationError` is raised
+    when no initial point has a finite value, as in :func:`sta_run`.  Before any
+    draw, a ``space`` that is not a :class:`SearchSpace`, an ``rng`` that is not a
+    :class:`RandomSource` or a non-callable ``objective`` raises TypeError.
     """
     space, se = _instance(space, SearchSpace, "space"), _count(se, "se")
     rng, evals = _instance(rng, RandomSource, "rng"), CallCounter(objective)
-    x, fx = _quietly(_best, evals, rng.uniform(space.lower, space.upper, (se, space.dim)))
+    return Solution(*_quietly(_start, evals, space, se, rng))
+
+
+def _start(evals: CallCounter, space: SearchSpace, se: int, rng: RandomSource) -> tuple[Array, float]:
+    x, fx = _best(evals, rng.uniform(space.lower, space.upper, (se, space.dim)))
     if fx == np.inf:
         raise EvaluationError("objective is non-finite at every initial point")
-    return Solution(x, fx)
+    return x, fx
 
 
 def _clamp(batch: Array, space: SearchSpace) -> Array:
@@ -134,13 +140,19 @@ def _best(evals: CallCounter, batch: Array) -> tuple[Array, float]:
     return batch[g], float(values[g])
 
 
-def _phase(evals, space, x, fx, batch, params, rng) -> tuple[Array, float]:
-    # The rest of a phase once its sampler has drawn ``batch`` around (x, fx).
-    y, fy = _best(evals, _clamp(batch, space))
-    if not fy < fx:
-        return x, fx
-    z, fz = _best(evals, _clamp(_translate(x, y, params.se, params.beta, rng), space))
-    return (z, fz) if fz < fy else (y, fy)
+def _walk(space: SearchSpace, x: Array, fx: float, params: StaParams, rng: RandomSource):
+    # Yields each clamped batch for its best (y, fy); ends each iteration with (x, fx, alpha).
+    alpha = params.alpha_max
+    while True:
+        if alpha < params.alpha_min:
+            alpha = params.alpha_max
+        for sample, factor in ((_expand, params.gamma), (_rotate, alpha), (_axes, params.delta)):
+            y, fy = yield _clamp(sample(x, params.se, factor, rng), space)
+            if fy < fx:  # strict improvement, then chase it with a translation
+                z, fz = yield _clamp(_translate(x, y, params.se, params.beta, rng), space)
+                x, fx = (z, fz) if fz < fy else (y, fy)
+        yield x, fx, alpha  # the marker: the run records the incumbent once per iteration
+        alpha = alpha / params.fc
 
 
 def sta_run(
@@ -209,19 +221,16 @@ def sta_run(
     history: list[float] = []
     try:
         with np.errstate(all="ignore"):  # one guard per run, around the objective too
-            best = initialize(space, params.se, rng, evals)
-            x, fx, se, alpha = best.coords, best.fitness, params.se, params.alpha_max
+            x, fx = _start(evals, space, params.se, rng)
+            walk = _walk(space, x, fx, params, rng)
             for iteration in range(1, params.iterations + 1):
-                if alpha < params.alpha_min:
-                    alpha = params.alpha_max
-                y, fy = _phase(evals, space, x, fx, _expand(x, se, params.gamma, rng), params, rng)
-                y, fy = _phase(evals, space, y, fy, _rotate(y, se, alpha, rng), params, rng)
-                y, fy = _phase(evals, space, y, fy, _axes(y, se, params.delta, rng), params, rng)
-                x, fx = y, fy  # the incumbent moves once per iteration, in step with history
+                step = next(walk)
+                while not isinstance(step, tuple):  # a batch: the run's one scoring call
+                    step = walk.send(_best(evals, step))
+                x, fx, alpha = step
                 history.append(fx)
                 if observer is not None:
                     observer(RunState(Solution(x, fx), alpha, iteration, evals.count))
-                alpha = alpha / params.fc
                 if target_fitness is not None and fx <= target_fitness:
                     break
     except Exception as err:

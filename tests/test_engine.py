@@ -1,21 +1,26 @@
 """Loop semantics: initialization, projection, selection, phases, full runs.
 
 Projection and phases are tested on the private kernels that ``sta_run``
-runs (``_clamp``, ``_phase`` and the samplers), as no public function
-wraps them.  A phase scores its points as a run does, through the private
-``_score`` of a ``CallCounter``, whose ``count`` is the run's own count.
+runs (``_clamp``, the samplers and the generator ``_walk``), as no public
+function wraps them.  ``_phase`` below drives one phase of ``_walk`` as a run
+does: it scores each batch with ``_best``, through the private ``_score`` of a
+``CallCounter`` whose ``count`` is the run's own count.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from stapy import engine
 from stapy.benchmarks import rastrigin, sphere
 from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams
 from stapy.engine import (
     EvaluationError,
     RunAborted,
+    _best,
     _clamp,
-    _phase,
+    _walk,
     initialize,
     select_best,
     sta_run,
@@ -26,6 +31,25 @@ from stapy.operators import _axes, _expand, _rotate
 
 def rng(seed=0):
     return RandomSource(seed)
+
+
+def _phase(evals, space, x, fx, batch, params, rng):
+    """One phase around ``(x, fx)`` whose sampler drew ``batch``, and its best.
+
+    It replays the first phase of a ``_walk`` iteration with the expansion's
+    draw patched to ``batch``, scores that batch and its translation chase, if
+    one fires, with ``_best`` as ``sta_run`` does, and answers every later
+    batch with +inf, which never wins, so the iteration's marker holds the
+    phase's result."""
+    walk = _walk(space, x, fx, params, rng)
+    with mock.patch.object(engine, "_expand", lambda *args: batch):
+        y, fy = _best(evals, next(walk))
+    step = walk.send((y, fy))
+    if fy < fx:  # strict improvement: the next batch is the translation chase
+        step = walk.send(_best(evals, step))
+    while not isinstance(step, tuple):
+        step = walk.send((step[0], np.inf))
+    return step[:2]
 
 
 # ------------------------------------------------------------ initialize
@@ -447,6 +471,57 @@ def test_sta_run_abort_during_initialization_has_no_partial():
     with pytest.raises(RunAborted) as info:
         sta_run(bad, space, StaParams(iterations=3), rng=0)
     assert info.value.partial is None
+
+
+def test_sta_run_builds_one_call_counter(monkeypatch):
+    """The run scores every batch, the initial one included, through its own
+    counter; no second counter wraps it for initialization."""
+    built = []
+    init = CallCounter.__init__
+
+    def counted(self, objective):
+        built.append(objective)
+        init(self, objective)
+
+    monkeypatch.setattr(CallCounter, "__init__", counted)
+    result = sta_run(sphere, SearchSpace.uniform(2, -1.0, 1.0), StaParams(se=4, iterations=3))
+    assert built == [sphere] and result.evaluations >= 4 * 10
+
+
+def test_walk_yields_each_phase_then_its_marker_and_never_scores(monkeypatch):
+    """Driven by hand: an expansion, a rotation and an axesion batch, then the
+    marker ``(x, fx, alpha)``; an improving reply makes the next batch a
+    translation.  Every scorer raises, so the walk scores nothing itself."""
+
+    def never(*args):
+        raise AssertionError("the walk scored a batch")
+
+    monkeypatch.setattr(engine, "_best", never)
+    monkeypatch.setattr(CallCounter, "_score", never)
+    monkeypatch.setattr(CallCounter, "__call__", never)
+    drawn = []
+    for name in ("_expand", "_rotate", "_axes", "_translate"):
+        sample = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, s=sample, n=name: drawn.append(n) or s(*a))
+    space, params, x = SearchSpace.uniform(2, -1.0, 1.0), StaParams(se=4), np.array([0.5, 0.5])
+    walk = _walk(space, x, 1.0, params, rng())
+
+    step = next(walk)
+    for _ in range(3):  # no reply improves: a tie is no improvement
+        assert step.shape == (4, 2) and space.contains(step)
+        step = walk.send((step[0], 1.0))
+    assert drawn == ["_expand", "_rotate", "_axes"]
+    assert step[0] is x and step[1:] == (1.0, params.alpha_max)
+
+    drawn.clear()
+    y = next(walk)[1]
+    step = walk.send((y, 0.5))  # the expansion improves: a translation chases it
+    assert drawn == ["_expand", "_translate"] and step.shape == (4, 2)
+    step = walk.send((step[0], 0.75))  # the chase does worse, so y stands
+    for _ in range(2):
+        step = walk.send((step[0], 0.5))
+    assert drawn == ["_expand", "_translate", "_rotate", "_axes"]
+    assert step[0] is y and step[1:] == (0.5, params.alpha_max / params.fc)
 
 
 # ------------------------------------------------------ counts after an abort

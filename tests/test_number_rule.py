@@ -4,8 +4,8 @@ A count (``se``, ``iterations``, ``dim``, a seed) is an int, numpy integers
 included, or a float with no fractional part, inside its range; it is used
 as exactly ``int(value)``, never truncated.  A real (an operator factor, a
 ``StaParams`` constant, ``target_fitness``) is a finite float above its
-floor.  Any other number raises ``ValueError``, and text (even ``"2.5"``)
-raises ``TypeError`` in a short message, before any random draw.
+floor.  Any other number raises ``ValueError``, and text (even ``"2.5"``) or
+a bool raises ``TypeError`` in a short message, before any random draw.
 """
 
 import collections
@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from stapy.benchmarks import get_benchmark, sphere
 from stapy.cli import main
-from stapy.core import CallCounter, RandomSource, SearchSpace, StaParams, _quoted
+from stapy.core import (
+    CallCounter, RandomSource, RunResult, SearchSpace, Solution, StaParams, _quoted
+)
 from stapy.engine import initialize, select_best, sta_run
 from stapy.expressions import parse_expression
 from stapy.operators import op_axes, op_expand, op_rotate, op_translate
@@ -159,6 +161,56 @@ def test_every_site_accepts_exactly_what_the_rule_accepts(site, value):
     if shown is not None:
         used = shown(out)
         assert type(used) is int and used == int(value)
+
+
+@pytest.mark.parametrize("value", [False, True])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_every_site_refuses_a_bool_before_drawing(site, value):
+    """A bool is an int to Python, but no count and no real here, as no array
+    of bools is: TypeError in a short line, before any draw."""
+    rng = RandomSource(11)
+    with pytest.raises(TypeError, match=f" must be (a real number|an integer), got {value}$") as err:
+        SITES[site][0](value, rng)
+    assert len(str(err.value)) <= 100
+    assert rng.uniform(0.0, 1.0) == RandomSource(11).uniform(0.0, 1.0), "drew before rejecting"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Solution([1.0], "3"),
+        lambda: Solution([1.0], "x" * 100_000),
+        lambda: Solution([1.0], True),
+        lambda: Solution([1.0], None),
+        lambda: RunResult([1.0], "1", [1.0], 1, 0),
+        lambda: RunResult([1.0], 1.0, [1.0], "x", None),
+        lambda: RunResult([1.0], 1.0, [1.0], True, 0),
+        lambda: RunResult([1.0], 1.0, [1.0], 1, None),
+        lambda: RunResult([1.0], 1.0, [1.0], 1, False),
+    ],
+    ids=[
+        "fitness-text", "fitness-long-text", "fitness-bool", "fitness-None", "fbest-text",
+        "evaluations-text", "evaluations-bool", "seed-None", "seed-bool",
+    ],
+)
+def test_a_result_judges_its_numbers_in_a_short_type_error(call):
+    """``Solution`` and ``RunResult`` hold a real fitness, which may be
+    non-finite, a count of evaluations and a seed, by the rule above."""
+    with pytest.raises(TypeError, match=r"^(fitness|fbest|evaluations|seed) must be ") as err:
+        call()
+    assert len(str(err.value)) <= 100
+
+
+def test_a_result_keeps_a_non_finite_fitness_and_any_count():
+    assert Solution([1.0], np.inf).fitness == math.inf
+    assert math.isnan(Solution([1.0], np.float32("nan")).fitness)
+    assert Solution([1.0], -(10**400)).fitness == -math.inf, "past the float range, by its sign"
+    result = RunResult([1.0], -math.inf, [1.0], 10**30, np.uint64(2**64 - 1))
+    assert (result.fbest, result.evaluations, result.seed) == (-math.inf, 10**30, 2**64 - 1)
+    assert type(result.evaluations) is int and type(result.seed) is int
+    for evaluations, seed in ((-1, 0), (1, 2**64), (1.5, 0)):
+        with pytest.raises(ValueError):
+            RunResult([1.0], 1.0, [1.0], evaluations, seed)
 
 
 @pytest.mark.parametrize(
