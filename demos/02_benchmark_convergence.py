@@ -3,9 +3,10 @@ Benchmark convergence: Rastrigin 10D and Griewank 15D descent curves
 ====================================================================
 
 Reproduces the two classic multimodal experiments on their customary
-boxes, writes the histories to a long-format CSV (seed, iteration,
-fbest), and renders a semilog plot when matplotlib is importable.
-The CSV is the same format the command-line front end emits.
+boxes, writes the histories to a long-format CSV (function, seed,
+iteration, fbest), and renders a semilog plot when matplotlib is importable.
+The CSV is the command-line front end's `--out-csv` format with a leading
+function column.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ for name, dim in RUNS:
 with open("benchmark_convergence.csv", "w", encoding="utf-8", newline="\n") as out:
     out.write("function,seed,iteration,fbest\n")
     for (name, seed), history in histories.items():
-        for iteration, value in enumerate(history, start=1):
+        for iteration, value in enumerate(history.tolist(), start=1):
             out.write(f"{name},{seed},{iteration},{value!r}\n")
 print("wrote benchmark_convergence.csv")
 

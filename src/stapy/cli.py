@@ -112,13 +112,20 @@ def _normalize_argv(parser: argparse.ArgumentParser, argv: Sequence[str]) -> lis
     return out
 
 
+def _read(path: str, what: str) -> str:  # UTF-8, with or without a byte order mark
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except OSError as err:  # its strerror omits the path; the caller names a decode error
+        raise CliError(f"cannot read {what} {path}: {err.strerror}") from err
+
+
 def _load_config_file(path: str) -> dict:
     # Returns the file's settings without its null values, which count as absent.
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as err:
-        raise CliError(f"cannot read config file {path}: {err.strerror}") from err
+        data = json.loads(_read(path, "config file"))
+    except CliError:  # a ValueError too, from _read
+        raise
     except (ValueError, RecursionError) as err:
         raise CliError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
@@ -133,10 +140,9 @@ def _load_config_file(path: str) -> dict:
 
 def _read_bounds_file(path: str) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-    except (OSError, UnicodeDecodeError) as err:  # an OSError's strerror omits the path
-        raise CliError(f"cannot read bounds file {path}: {getattr(err, 'strerror', err)}") from err
+        lines = [line.strip() for line in _read(path, "bounds file").split("\n")]
+    except UnicodeDecodeError as err:
+        raise CliError(f"cannot read bounds file {path}: {err}") from err
     return [line for line in lines if line and not line.startswith("#")]
 
 
@@ -262,6 +268,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     except ValueError as err:
         raise CliError(str(err)) from err
 
+    for flag, path in (("--out-json", args.out_json), ("--out-csv", args.out_csv)):
+        if path and "\0" in path:  # no file has such a name; realpath and open raise ValueError
+            raise CliError(f"{flag} must name a path without a NUL byte, got {_quoted(path)}")
     outputs = [os.path.realpath(path) for path in (args.out_json, args.out_csv) if path]
     if len(set(outputs)) < len(outputs):
         raise CliError("--out-json and --out-csv name the same file")
@@ -300,11 +309,11 @@ def _unwritable(path: str) -> Optional[str]:
 
 
 def run_command(config: RunConfig) -> int:
-    """Check the output paths, execute one run per seed, print summaries, write JSON/CSV."""
+    """Check the output paths, execute one run per seed, print summaries, write JSON/CSV;
+    return 0, or raise OSError for an output file and RunAborted for a run."""
     for path in filter(None, (config.out_json, config.out_csv)):
         if reason := _unwritable(path):
-            print(f"error: {_line(f'cannot write {path}: {reason}')}", file=sys.stderr)
-            return 1
+            raise OSError(f"cannot write {path}: {reason}")
 
     records = []
     for seed in config.seeds:
@@ -335,9 +344,9 @@ def run_command(config: RunConfig) -> int:
         summary = [
             {
                 "seed": seed,
-                "best": [float(v) for v in result.best],
-                "fbest": float(result.fbest),
-                "evaluations": int(result.evaluations),
+                "best": result.best.tolist(),
+                "fbest": result.fbest,
+                "evaluations": result.evaluations,
                 "runtime_ms": runtime_ms,
                 "params": params_doc,
             }
@@ -345,12 +354,11 @@ def run_command(config: RunConfig) -> int:
         ]
         outputs.append((config.out_json, json.dumps(summary, indent=2) + "\n"))
     if config.out_csv:
-        lines = ["seed,iteration,fbest"]
-        for seed, result, _ in records:
-            lines.extend(
-                f"{seed},{iteration},{float(value)!r}"
-                for iteration, value in enumerate(result.history, start=1)
-            )
+        lines = ["seed,iteration,fbest"] + [
+            f"{seed},{iteration},{value!r}"
+            for seed, result, _ in records
+            for iteration, value in enumerate(result.history.tolist(), start=1)
+        ]
         outputs.append((config.out_csv, "\n".join(lines) + "\n"))
 
     for path, text in outputs:
@@ -358,26 +366,20 @@ def run_command(config: RunConfig) -> int:
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         except OSError as err:
-            print(f"error: {_line(f'cannot write {path}: {err.strerror}')}", file=sys.stderr)
             try:
                 os.remove(path)
             except OSError:
                 pass
-            return 1
+            raise OSError(f"cannot write {path}: {err.strerror}") from err
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        config = parse_config(argv)
-    except CliError as err:
+        return run_command(parse_config(argv))
+    except (CliError, RunAborted, OSError) as err:  # every error: line but argparse's
         print(f"error: {_line(str(err))}", file=sys.stderr)
-        return 2
-    try:
-        return run_command(config)
-    except RunAborted as err:
-        print(f"error: {_line(str(err))}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, CliError) else 1
 
 
 if __name__ == "__main__":

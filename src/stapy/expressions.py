@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, _count, _quietly, _quoted
+from .core import Array, _count, _instance, _quietly, _quoted
 
 __all__ = ["ExpressionError", "CompiledExpression", "parse_expression"]
 
@@ -298,10 +298,11 @@ def parse_expression(text: str, dim: int) -> CompiledExpression:
     Raises :class:`ExpressionError` (with the offending 1-based position) on
     syntax errors, unknown names, or variable indices beyond ``dim``, and at
     position 1 on an expression that nests too deeply to compile.  ``dim`` is
-    an integer >= 1 (``3.0`` counts, ``2.7`` raises ValueError).
+    an integer >= 1 (``3.0`` counts, ``2.7`` raises ValueError), and a ``text``
+    that is not a ``str`` raises TypeError.
     """
     dim = _count(dim, "dim")
-    parser = _Parser(text, dim)
+    parser = _Parser(_instance(text, str, "text"), dim)
     try:
         source = parser.parse()
         body = "".join(f"    {line}\n" for line in parser.lines)

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -201,6 +202,36 @@ def test_config_file_that_cannot_be_decoded_is_one_line(tmp_path, capsys, conten
     code, out, err = run_cli(["--config", str(cfg)], capsys)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert "is not valid JSON" in err
+
+
+@pytest.mark.parametrize("source", ["config", "bounds-file"])
+def test_input_file_may_start_with_a_byte_order_mark(tmp_path, capsys, source):
+    """A UTF-8 byte order mark at the start of either input file is skipped:
+    the run prints what the same file without the mark prints."""
+    if source == "config":
+        text = json.dumps({"function": "x1^2 + x2^2", "dim": 2, "bounds": [-1, 1]})
+        args = ["--iterations", "3", "--seed", "4", "--config"]
+    else:
+        text = "# box\n-1,1\n-2 2\n"
+        args = ["--function", "x1^2 + x2^2", "--dim", "2", "--iterations", "3", "--seed", "4",
+                "--bounds-file"]
+    outs = []
+    for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode("utf-8"))
+        code, out, err = run_cli(args + [str(path)], capsys)
+        assert (code, err) == (0, "")
+        outs.append(re.sub(r"runtime=\S+ ms", "runtime", out))
+    assert outs[0] == outs[1] and outs[0].startswith("seed 4: ")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"sphere"'], ids=["array", "string"])
+def test_config_file_that_holds_no_object_is_one_line(tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(content)
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {cfg} must hold a JSON object\n"
 
 
 def test_parse_config_mutually_exclusive_bounds(tmp_path):
@@ -595,6 +626,22 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, f
     assert not other.exists() and not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("key,flag", [("out_json", "--out-json"), ("out_csv", "--out-csv")])
+def test_output_path_with_a_nul_byte_fails_before_any_run(tmp_path, monkeypatch, capsysbinary,
+                                                          key, flag):
+    """No file has a name with a NUL byte in it: exit 2 before the first seed
+    runs, one short line that names the flag and quotes the path without the NUL."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, key: "a\u0000b"}))
+    monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
+    code = main(["--config", str(cfg)])
+    out, err = capsysbinary.readouterr()
+    assert (code, out) == (2, b"")
+    assert err.startswith(f"error: {flag} ".encode()) and err.count(b"\n") == 1
+    assert len(err) < 400 and b"\0" not in err and b"'a\\x00b'" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 class _DiskFullAfterTenCharacters:
     """Stands in for ``open``: the file is created and partly written, then
     the write fails as on a full disk."""
@@ -637,6 +684,19 @@ def test_write_error_after_the_runs_leaves_no_output_file(tmp_path, monkeypatch,
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert err.endswith(f": {os.strerror(reason)}\n")
     assert list(tmp_path.iterdir()) == []  # neither output file remains
+
+
+def test_run_that_aborts_is_one_line_and_writes_no_output(tmp_path, capsys):
+    json_path = tmp_path / "J"
+    code, out, err = run_cli(
+        ["--function", "sqrt(-1-x1*x1)", "--dim", "1", "--bounds", "-1,1",
+         "--seed", "1", "--seed", "2", "--out-json", str(json_path)],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == ("error: run aborted after 0 completed iteration(s): "
+                   "objective is non-finite at every initial point\n")
+    assert not json_path.exists()
 
 
 def test_main_csv_uses_lf_and_full_precision(tmp_path, capsys):

@@ -259,6 +259,13 @@ def test_parse_expression_rejects_bad_dim():
         parse_expression("x1", 0)
 
 
+@pytest.mark.parametrize("text", [None, 7, b"x1", ["x1"]], ids=["none", "int", "bytes", "list"])
+def test_parse_expression_judges_text(text):
+    with pytest.raises(TypeError, match="^text must be") as info:
+        parse_expression(text, 2)
+    assert len(str(info.value)) < 200
+
+
 # ----------------------------------------------------------------- tokens
 
 
