@@ -14,8 +14,9 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .engine import RunAborted, sta_run
 from .expressions import ExpressionError, parse_expression
 
 
-class CliError(ValueError):
-    """Configuration problem with a one-line, actionable message."""
+class CliError(Exception):
+    """A configuration problem, argparse's own included; ``main`` writes its
+    message as one ``error:`` line and exits 2."""
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,6 @@ class RunConfig:
 
 _PARAM_KEYS = tuple(f.name for f in fields(StaParams))
 _CONFIG_KEYS = ("function", "dim", "bounds", "seeds", "target_fitness", "out_json", "out_csv") + _PARAM_KEYS
-
-
-def _line(message: str) -> str:  # one line; past 300 characters, its first and last 150
-    message = message.replace("\n", " ")
-    return message if len(message) <= 300 else f"{message[:150]}...{message[-150:]}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out-json", help="write a JSON summary array to this path")
     parser.add_argument("--out-csv", help="write a seed,iteration,fbest history CSV to this path")
-    parser.error = lambda message: parser.exit(2, f"error: {_line(message)}\n")  # no usage
+
+    def error(message: str) -> NoReturn:  # argparse's own: main writes it, with no usage block
+        raise CliError(message)
+    parser.error = error
     return parser
 
 
@@ -124,8 +124,6 @@ def _load_config_file(path: str) -> dict:
     # Returns the file's settings without its null values, which count as absent.
     try:
         data = json.loads(_read(path, "config file"))
-    except CliError:  # a ValueError too, from _read
-        raise
     except (ValueError, RecursionError) as err:
         raise CliError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
@@ -174,13 +172,28 @@ def _search_space(rows: Union[str, list[str]], dim: int, where: str) -> SearchSp
         raise CliError(f"malformed bounds {where}: {err}") from err
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why opening ``path`` to write must fail, found without creating it, or None;
+    ``os.access`` asks with the real ids, and any refusal reads EACCES (even EROFS)."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return os.strerror(errno.EACCES)
+
+
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Resolve flags, config file, and defaults into a validated RunConfig.
 
     A config-file value is read exactly like the flag it stands for: it
     becomes that flag's default as a string (its JSON text unless it is a
     string), which argparse types with the flag's ``type`` when the flag is
-    not given.  A ``seeds`` list becomes ``--seed`` arguments.
+    not given.  A ``seeds`` list becomes ``--seed`` arguments.  Every path is
+    judged before any seed runs.  Raises CliError for a configuration problem,
+    argparse's included, and OSError for an output that cannot be written;
+    only ``--help`` exits.
     """
     parser = build_parser()
     argv = _normalize_argv(parser, sys.argv[1:] if argv is None else argv)
@@ -204,10 +217,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
                     f"config file {args.config}: seeds must be a non-empty list of integers, got {got}"
                 )
             argv = [f"--seed={json.dumps(s)}" for s in seeds] + argv
-        parser.exit_on_error = False
         try:
             args = parser.parse_args(argv)
-        except argparse.ArgumentError as err:
+        except CliError as err:
             raise CliError(f"config file {args.config}: {err}") from None
 
     function = args.function
@@ -268,12 +280,18 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     except ValueError as err:
         raise CliError(str(err)) from err
 
-    for flag, path in (("--out-json", args.out_json), ("--out-csv", args.out_csv)):
+    outputs = {"--out-json": args.out_json, "--out-csv": args.out_csv}
+    for flag, path in outputs.items():
         if path and "\0" in path:  # no file has such a name; realpath and open raise ValueError
             raise CliError(f"{flag} must name a path without a NUL byte, got {_quoted(path)}")
-    outputs = [os.path.realpath(path) for path in (args.out_json, args.out_csv) if path]
-    if len(set(outputs)) < len(outputs):
-        raise CliError("--out-json and --out-csv name the same file")
+    first: dict[str, str] = {}  # each real path's first flag; no output may share one
+    for flag, path in {"--config": args.config, "--bounds-file": args.bounds_file, **outputs}.items():
+        other = first.setdefault(os.path.realpath(path), flag) if path else flag
+        if other != flag and flag in outputs:
+            raise CliError(f"{other} and {flag} name the same file")
+    for path in filter(None, outputs.values()):
+        if reason := _unwritable(path):
+            raise OSError(f"cannot write {path}: {reason}")
 
     return RunConfig(
         function=function,
@@ -296,25 +314,10 @@ def _params_document(config: RunConfig) -> dict:
     return doc
 
 
-def _unwritable(path: str) -> Optional[str]:
-    """Why opening ``path`` to write must fail, found without creating it, or None;
-    ``os.access`` asks with the real ids, and any refusal reads EACCES (even EROFS)."""
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        return os.strerror(errno.EISDIR)
-    if not os.path.isdir(parent):
-        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
-    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        return os.strerror(errno.EACCES)
-
-
 def run_command(config: RunConfig) -> int:
-    """Check the output paths, execute one run per seed, print summaries, write JSON/CSV;
-    return 0, or raise OSError for an output file and RunAborted for a run."""
-    for path in filter(None, (config.out_json, config.out_csv)):
-        if reason := _unwritable(path):
-            raise OSError(f"cannot write {path}: {reason}")
-
+    """Execute one run per seed, print summaries, write JSON/CSV; return 0,
+    or raise RunAborted for a run and OSError for an output file.  A run that
+    raises leaves no output file: a failed write removes every output opened."""
     records = []
     for seed in config.seeds:
         start = time.perf_counter()
@@ -361,26 +364,25 @@ def run_command(config: RunConfig) -> int:
         ]
         outputs.append((config.out_csv, "\n".join(lines) + "\n"))
 
-    for path, text in outputs:
-        try:
+    opened = []
+    try:
+        for path, text in outputs:
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                opened.append(path)
                 handle.write(text)
-        except OSError as err:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            raise OSError(f"cannot write {path}: {err.strerror}") from err
+    except OSError as err:
+        for done in opened:  # whole or partial; never a file that open refused
+            with suppress(OSError):
+                os.remove(done)
+        raise OSError(f"cannot write {path}: {err.strerror}") from err
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return run_command(parse_config(argv))
-    except (CliError, RunAborted, OSError) as err:  # every error: line but argparse's
-        print(f"error: {_line(str(err))}", file=sys.stderr)
+    except (CliError, RunAborted, OSError) as err:  # every error: line
+        line = str(err).replace("\n", " ")  # one line; past 300 characters, its first and last 150
+        line = line if len(line) <= 300 else f"{line[:150]}...{line[-150:]}"
+        print(f"error: {line}", file=sys.stderr)
         return 2 if isinstance(err, CliError) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

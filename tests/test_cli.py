@@ -409,11 +409,36 @@ def test_flag_value_may_start_with_minus(args, read, expected):
     assert read(config) == expected
 
 
-def test_flag_followed_by_an_option_lacks_its_value(capsys):
-    with pytest.raises(SystemExit) as info:
+def test_flag_followed_by_an_option_lacks_its_value():
+    with pytest.raises(CliError, match="--function: expected one argument"):
         parse_config(["--function", "--dim", "2"])
-    assert info.value.code == 2
-    assert "--function: expected one argument" in capsys.readouterr().err
+
+
+ARGPARSE_ERRORS = [
+    (["--function", "sphere", "--dim", "x"], "argument --dim: invalid int value: 'x'"),
+    (["--function", "--dim", "2"], "argument --function: expected one argument"),
+    (["--function", "sphere", "--dim", "2", "--s", "3"],
+     "ambiguous option: --s could match --se, --seed"),
+    (["--function", "sphere", "--dim", "2", "--zz"], "1 unrecognized argument(s), the first '--zz'"),
+    (["--function", "sphere", "--dim", "2", "--config", "{cfg}"],
+     "config file {cfg}: argument --gamma: invalid float value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("args,message", ARGPARSE_ERRORS,
+                         ids=["invalid-int", "missing-value", "ambiguous", "unknown", "config"])
+def test_argparse_error_is_raised_and_main_writes_it(tmp_path, capsys, args, message):
+    """argparse's errors leave parse_config as CliError, never as SystemExit,
+    and main writes them as every other configuration error: exit 2, one line."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": "x"}))
+    args = [arg.format(cfg=cfg) for arg in args]
+    message = message.format(cfg=cfg)
+    with pytest.raises(CliError) as info:
+        parse_config(args)
+    assert str(info.value) == message
+    assert capsys.readouterr() == ("", "")
+    assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
 
 
 # ------------------------------------------------------------------- main
@@ -684,6 +709,75 @@ def test_write_error_after_the_runs_leaves_no_output_file(tmp_path, monkeypatch,
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert err.endswith(f": {os.strerror(reason)}\n")
     assert list(tmp_path.iterdir()) == []  # neither output file remains
+
+
+def test_failed_write_removes_every_output_it_opened(tmp_path, capsys):
+    """The JSON is written in full, then the CSV cannot be opened: exit 1,
+    one error line, and the JSON is removed too."""
+    json_path, csv_path = tmp_path / "ok.json", tmp_path / ("x" * 300)
+    code, out, err = run_cli(
+        ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
+         "--out-json", str(json_path), "--out-csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 1 and out.startswith("seed 1: ")
+    assert err.startswith(f"error: cannot write {tmp_path}") and err.count("\n") == 1
+    assert err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_a_file_it_could_not_open(tmp_path, monkeypatch, capsys):
+    """An output that open refuses was never opened, so it is left as it was;
+    the one written before it is removed."""
+    json_path, csv_path = tmp_path / "ok.json", tmp_path / "kept.csv"
+    csv_path.write_text("kept\n")
+    real_open = open
+
+    def refuse_csv(path, *args, **kwargs):
+        if str(path) == str(csv_path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refuse_csv, raising=False)
+    code, _, err = run_cli(
+        ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
+         "--out-json", str(json_path), "--out-csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 1
+    assert err == f"error: cannot write {csv_path}: {os.strerror(errno.EACCES)}\n"
+    assert list(tmp_path.iterdir()) == [csv_path] and csv_path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("given", ["flag", "config key"])
+@pytest.mark.parametrize("output", ["--out-json", "--out-csv"])
+@pytest.mark.parametrize("source", ["--config", "--bounds-file"])
+def test_output_may_not_overwrite_an_input(tmp_path, monkeypatch, capsys, source, output, given):
+    """An output that names the config file or the bounds file, under any
+    spelling of its path, is one error line, exit 2, before any seed runs,
+    and the input is left as it was."""
+    cfg, box = tmp_path / "run.json", tmp_path / "box.txt"
+    box.write_text("-1,1\n-1,1\n")
+    target = f"{tmp_path}/./{(cfg if source == '--config' else box).name}"  # not as the input spells it
+    doc = {"function": "x1^2+x2^2", "dim": 2}
+    if given == "config key":
+        doc[output[2:].replace("-", "_")] = target
+    cfg.write_text(json.dumps(doc))
+    before = {path: path.read_bytes() for path in (cfg, box)}
+    args = ["--config", str(cfg), "--bounds-file", str(box)]
+    args += [output, target] if given == "flag" else []
+    monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
+    with pytest.raises(CliError, match=f"^{source} and {output} name the same file$"):
+        parse_config(args)
+    assert run_cli(args, capsys) == (2, "", f"error: {source} and {output} name the same file\n")
+    assert {path: path.read_bytes() for path in (cfg, box)} == before
+    assert sorted(tmp_path.iterdir()) == [box, cfg]
+
+
+def test_unwritable_output_is_judged_by_parse_config(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    with pytest.raises(OSError, match=f"^cannot write {re.escape(str(path))}: "):
+        parse_config(["--function", "sphere", "--dim", "2", "--out-json", str(path)])
 
 
 def test_run_that_aborts_is_one_line_and_writes_no_output(tmp_path, capsys):
