@@ -172,6 +172,19 @@ def _search_space(rows: Union[str, list[str]], dim: int, where: str) -> SearchSp
         raise CliError(f"malformed bounds {where}: {err}") from err
 
 
+def _without_nul(paths: dict[str, Optional[str]]) -> None:
+    for flag, path in paths.items():
+        if path and "\0" in path:  # no file has such a name; stat, realpath and open raise ValueError
+            raise CliError(f"{flag} must name a path without a NUL byte, got {_quoted(path)}")
+
+
+def _file_key(path: str):  # an existing file by device and inode, which a hard link shares
+    with suppress(OSError):
+        stat = os.stat(path)
+        return stat.st_dev, stat.st_ino
+    return os.path.realpath(path)
+
+
 def _unwritable(path: str) -> Optional[str]:
     """Why opening ``path`` to write must fail, found without creating it, or None;
     ``os.access`` asks with the real ids, and any refusal reads EACCES (even EROFS)."""
@@ -191,15 +204,17 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     becomes that flag's default as a string (its JSON text unless it is a
     string), which argparse types with the flag's ``type`` when the flag is
     not given.  A ``seeds`` list becomes ``--seed`` arguments.  Every path is
-    judged before any seed runs.  Raises CliError for a configuration problem,
-    argparse's included, and OSError for an output that cannot be written;
-    only ``--help`` exits.
+    judged before any seed runs, an input's NUL byte before any file is read,
+    and no output may name an input, hard links included.  Raises CliError
+    for a configuration problem, argparse's included, and OSError for an
+    output that cannot be written; only ``--help`` exits.
     """
     parser = build_parser()
     argv = _normalize_argv(parser, sys.argv[1:] if argv is None else argv)
     args, extra = parser.parse_known_args(argv)
     if extra:  # argparse's own message quotes every extra token in full
         parser.error(f"{len(extra)} unrecognized argument(s), the first {_quoted(extra[0])}")
+    _without_nul({"--config": args.config, "--bounds-file": args.bounds_file})
     file_cfg = _load_config_file(args.config) if args.config else {}
     if file_cfg:
         parser.set_defaults(
@@ -281,12 +296,10 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         raise CliError(str(err)) from err
 
     outputs = {"--out-json": args.out_json, "--out-csv": args.out_csv}
-    for flag, path in outputs.items():
-        if path and "\0" in path:  # no file has such a name; realpath and open raise ValueError
-            raise CliError(f"{flag} must name a path without a NUL byte, got {_quoted(path)}")
-    first: dict[str, str] = {}  # each real path's first flag; no output may share one
+    _without_nul(outputs)
+    first: dict = {}  # each file's first flag; no output may share one
     for flag, path in {"--config": args.config, "--bounds-file": args.bounds_file, **outputs}.items():
-        other = first.setdefault(os.path.realpath(path), flag) if path else flag
+        other = first.setdefault(_file_key(path), flag) if path else flag
         if other != flag and flag in outputs:
             raise CliError(f"{other} and {flag} name the same file")
     for path in filter(None, outputs.values()):

@@ -29,8 +29,8 @@ from .core import EPS, Array, RandomSource, _count, _instance, _quietly, _real, 
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
-# Bytes of float64 rotation entries drawn at once: the bound on the kernel's memory, and the
-# fastest size measured with int32 draws (n = 100, se = 30; see ROADMAP, "Not worth pursuing").
+# Bytes of float64 rotation entries drawn at once: the bound on the kernel's memory, and at n = 100,
+# se = 30, as fast as any size measured (see ROADMAP, "Not worth pursuing").
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -38,15 +38,16 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     """Sample a hypersphere of radius at most ``alpha`` around ``best``.
 
     Each row is ``best + alpha / (n * (||best|| + eps)) * R @ best`` with
-    ``R = K * 2**-31`` redrawn for every row, ``K`` an n-by-n matrix of
-    independent uniform int32s: ``R`` is uniform on the 2**32-point grid of
+    ``R = K * 2**-15`` redrawn for every row, ``K`` an n-by-n matrix of
+    independent uniform int16s: ``R`` is uniform on the 65,536-point grid of
     [-1, 1), and ``||R @ best|| <= n * ||best||`` (Frobenius bound), so the
     step norm never exceeds ``alpha``.
 
-    Draws: per row, ``ceil(n * n / 2)`` raw 64-bit outputs read as little-endian
-    int32 pairs (an odd n * n drops the last high half), in chunks of about
-    512 KiB of float64: whole matrices, or once one matrix is larger, blocks of
-    a multiple of four of its rows (at least two), so memory stays one chunk.
+    Draws: per row, ``ceil(n * n / 4)`` raw 64-bit outputs read as little-endian
+    int16 quarters, low first (an n * n that is not a multiple of 4 drops the
+    last 1-3 quarters), in chunks of about 512 KiB of float64: whole matrices, or
+    once one matrix is larger, blocks of a multiple of four of its rows (at
+    least four), so memory stays about one chunk.
     """
     rng = _instance(rng, RandomSource, "rng")
     return _quietly(_rotate, _vector(best, "best"), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
@@ -59,13 +60,13 @@ def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     k = min(se, max(1, rows // n))
     # Past one matrix, blocks of a multiple of 4 rows: whole raw outputs, and on one
     # BLAS thread the whole matrix's bits (OpenBLAS's gemv groups rows by 4).
-    b = n if rows >= n else max(2, rows - rows % 4)
-    steps, scaled = np.empty((se, n)), best * 2.0**-31
+    b = n if rows >= n else max(4, rows - rows % 4)
+    steps, scaled = np.empty((se, n)), best * 2.0**-15
     for s in range(0, se, k):
         m = min(k, se - s)
         for r in range(0, n, b):
             h = min(b, n - r)
-            np.matmul(rng._int32(m, h * n).reshape(m, h, n), scaled, out=steps[s : s + m, r : r + h])
+            np.matmul(rng._int16(m, h * n).reshape(m, h, n), scaled, out=steps[s : s + m, r : r + h])
     return best + coef * steps
 
 

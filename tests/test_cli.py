@@ -651,15 +651,22 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, f
     assert not other.exists() and not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("key,flag", [("out_json", "--out-json"), ("out_csv", "--out-csv")])
-def test_output_path_with_a_nul_byte_fails_before_any_run(tmp_path, monkeypatch, capsysbinary,
-                                                          key, flag):
+@pytest.mark.parametrize("flag", ["--out-json", "--out-csv", "--config", "--bounds-file"])
+def test_path_with_a_nul_byte_fails_before_any_run(tmp_path, monkeypatch, capsysbinary, flag):
     """No file has a name with a NUL byte in it: exit 2 before the first seed
-    runs, one short line that names the flag and quotes the path without the NUL."""
+    runs, and for an input before any file is read, one short line that names
+    the flag and quotes the path without the NUL."""
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, key: "a\u0000b"}))
+    if flag.startswith("--out"):  # given as a config key, which the config file must be read for
+        key = flag[2:].replace("-", "_")
+        cfg.write_text(json.dumps({"function": "sphere", "dim": 2, key: "a\u0000b"}))
+        argv = ["--config", str(cfg)]
+    else:
+        cfg.write_text(json.dumps({"function": "x1", "dim": 1}))
+        argv = ["--config", str(cfg), flag, "a\0b"]
+        monkeypatch.setattr(cli, "_read", lambda *a: pytest.fail("a file was read"))
     monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
-    code = main(["--config", str(cfg)])
+    code = main(argv)
     out, err = capsysbinary.readouterr()
     assert (code, out) == (2, b"")
     assert err.startswith(f"error: {flag} ".encode()) and err.count(b"\n") == 1
@@ -749,20 +756,26 @@ def test_failed_write_keeps_a_file_it_could_not_open(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == [csv_path] and csv_path.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("spelling", ["dotted", "hard link"])
 @pytest.mark.parametrize("given", ["flag", "config key"])
 @pytest.mark.parametrize("output", ["--out-json", "--out-csv"])
 @pytest.mark.parametrize("source", ["--config", "--bounds-file"])
-def test_output_may_not_overwrite_an_input(tmp_path, monkeypatch, capsys, source, output, given):
+def test_output_may_not_overwrite_an_input(tmp_path, monkeypatch, capsys, source, output, given,
+                                           spelling):
     """An output that names the config file or the bounds file, under any
-    spelling of its path, is one error line, exit 2, before any seed runs,
-    and the input is left as it was."""
+    spelling of its path or through a hard link to it, is one error line,
+    exit 2, before any seed runs, and the input is left as it was."""
     cfg, box = tmp_path / "run.json", tmp_path / "box.txt"
     box.write_text("-1,1\n-1,1\n")
-    target = f"{tmp_path}/./{(cfg if source == '--config' else box).name}"  # not as the input spells it
+    source_path = cfg if source == "--config" else box
+    links = [tmp_path / "hard"] if spelling == "hard link" else []
+    target = str(links[0]) if links else f"{tmp_path}/./{source_path.name}"  # not as the input spells it
     doc = {"function": "x1^2+x2^2", "dim": 2}
     if given == "config key":
         doc[output[2:].replace("-", "_")] = target
     cfg.write_text(json.dumps(doc))
+    for link in links:
+        os.link(source_path, link)
     before = {path: path.read_bytes() for path in (cfg, box)}
     args = ["--config", str(cfg), "--bounds-file", str(box)]
     args += [output, target] if given == "flag" else []
@@ -771,7 +784,7 @@ def test_output_may_not_overwrite_an_input(tmp_path, monkeypatch, capsys, source
         parse_config(args)
     assert run_cli(args, capsys) == (2, "", f"error: {source} and {output} name the same file\n")
     assert {path: path.read_bytes() for path in (cfg, box)} == before
-    assert sorted(tmp_path.iterdir()) == [box, cfg]
+    assert sorted(tmp_path.iterdir()) == sorted([box, cfg, *links])
 
 
 def test_unwritable_output_is_judged_by_parse_config(tmp_path):

@@ -87,51 +87,58 @@ def test_rotate_actually_moves():
     assert np.linalg.norm(batch - np.ones(5), axis=1).max() > 0.0
 
 
-def as_signed(half):
-    return half - 2**32 if half >= 2**31 else half
+def as_signed(quarter):
+    return quarter - 2**16 if quarter >= 2**15 else quarter
+
+
+def quarters(seed, count):
+    """The signed 16-bit quarters of ``PCG64(seed)``'s first ``count`` raw words, low first."""
+    words = [int(w) for w in np.random.PCG64(seed).random_raw(count)]
+    return [as_signed(w >> shift & 0xFFFF) for w in words for shift in (0, 16, 32, 48)]
 
 
 @pytest.mark.parametrize("se", [1, 7, 30, 31])
 @pytest.mark.parametrize("n", [1, 10, 100, 101, 300])
 def test_rotate_chunked_draw_equals_whole_block_bits(n, se):
-    """Chunked kernel == one whole block of (se, n, n) int32 entries, bit for bit.
+    """Chunked kernel == one whole block of (se, n, n) int16 entries, bit for bit.
 
     n = 100 and n = 101 split se = 7, 30 and 31 into chunks of 6 matrices (7
-    and 31 with a partial last one); n = 101 has an odd n * n, so each matrix
-    drops a high half.  n = 300 draws one matrix per chunk.
+    and 31 with a partial last one); n = 1 and n = 101 have an n * n that is
+    not a multiple of 4, so each matrix drops its last three quarters.  n = 300
+    draws one matrix per chunk.
     """
     best = np.random.default_rng(n).uniform(-5.0, 5.0, n)
     got_rng, ref_gen = rng(se), np.random.Generator(np.random.PCG64(se))
     got = op_rotate(best, se, 0.5, got_rng)
-    h = (n * n + 1) // 2
-    k = ref_gen.bit_generator.random_raw(se * h).astype("<u8").view("<i4")
-    k = k.reshape(se, 2 * h)[:, : n * n].astype(float).reshape(se, n, n)
+    h = -(-n * n // 4)
+    k = ref_gen.bit_generator.random_raw(se * h).astype("<u8").view("<i2")
+    k = k.reshape(se, 4 * h)[:, : n * n].astype(float).reshape(se, n, n)
     coef = 0.5 / (n * (np.linalg.norm(best) + EPS))
-    assert np.array_equal(got, best + coef * (k @ (best * 2.0**-31)))
+    assert np.array_equal(got, best + coef * (k @ (best * 2.0**-15)))
     assert np.array_equal(got_rng.uniform(-1.0, 1.0, 5), ref_gen.uniform(-1.0, 1.0, 5)), (
         "stream position after the call"
     )
 
 
-def test_rotation_entries_are_the_signed_halves_of_raw_words_low_first():
-    words = [int(w) for w in np.random.PCG64(5).random_raw(8)]
-    halves = [as_signed(h) for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
-    entries = RandomSource(5)._int32(2, 8)
-    assert entries.dtype == np.int32
-    assert entries.tolist() == [halves[:8], halves[8:]]
+def test_rotation_entries_are_the_signed_quarters_of_raw_words_low_first():
+    q = quarters(5, 4)
+    entries = RandomSource(5)._int16(2, 8)
+    assert entries.dtype == np.int16
+    assert entries.tolist() == [q[:8], q[8:]]
 
 
-def test_rotation_entries_of_an_odd_width_drop_each_rows_last_high_half():
-    words = [int(w) for w in np.random.PCG64(6).random_raw(4)]
-    halves = [as_signed(h) for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 7])
+def test_rotation_entries_of_a_width_not_a_multiple_of_four_drop_each_rows_last_quarters(width):
+    words = -(-width // 4)  # per row
+    q = quarters(6, 2 * words)
     source = RandomSource(6)
-    assert source._int32(2, 3).tolist() == [halves[0:3], halves[4:7]]
-    fifth = np.random.Generator(np.random.PCG64(6)).uniform(0.0, 1.0, 5)[4]
-    assert source.uniform(0.0, 1.0) == fifth, "four raw words consumed"
+    assert source._int16(2, width).tolist() == [q[:width], q[4 * words : 4 * words + width]]
+    after = np.random.Generator(np.random.PCG64(6)).uniform(0.0, 1.0, 2 * words + 1)[-1]
+    assert source.uniform(0.0, 1.0) == after, f"{2 * words} raw words consumed"
 
 
 def test_rotation_entries_scale_onto_a_uniform_grid_of_minus_one_to_one():
-    r = RandomSource(8)._int32(1000, 1000) * 2.0**-31
+    r = RandomSource(8)._int16(1000, 1000) * 2.0**-15
     assert r.min() >= -1.0 and r.max() < 1.0
     assert abs(r.mean()) < 3e-3
     assert abs(r.var() - 1.0 / 3.0) < 3e-3
@@ -161,30 +168,49 @@ def test_rotate_peak_memory_stays_under_two_chunks_past_one_matrix():
     assert peak < 2 * operators._CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
-@pytest.mark.parametrize("n", [257, 1000, 1001])
-def test_rotate_in_row_blocks_equals_the_whole_matrix_draw(n, monkeypatch):
-    """Blocks of rows draw the whole matrix's int32 entries, bit for bit, and
-    leave the stream where it leaves it.  The products agree within the bound of
-    reordering each row's sum, 4 * sqrt(n) * eps * alpha plus two ulps of each
-    entry: a BLAS may split the whole matrix's product over threads.  n = 1001
-    has an odd n * n, so each matrix drops a high half."""
-    best, alpha = RandomSource(n).uniform(-1.0, 1.0, n), 0.5
-    source, blocks = rng(3), []
-    draw = source._int32
+def recorded_blocks(source, monkeypatch):
+    """The list that each later ``source._int16`` draw is appended to."""
+    blocks, draw = [], source._int16
 
     def recorded(rows, width):
         blocks.append(draw(rows, width))
         return blocks[-1]
 
-    monkeypatch.setattr(source, "_int32", recorded)
+    monkeypatch.setattr(source, "_int16", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("n", [257, 1000, 1001])
+def test_rotate_in_row_blocks_equals_the_whole_matrix_draw(n, monkeypatch):
+    """Blocks of rows draw the whole matrix's int16 entries, bit for bit, and
+    leave the stream where it leaves it.  The products agree within the bound of
+    reordering each row's sum, 4 * sqrt(n) * eps * alpha plus two ulps of each
+    entry: a BLAS may split the whole matrix's product over threads.  n = 257 and
+    n = 1001 have an n * n that is not a multiple of 4, so each matrix drops
+    three quarters."""
+    best, alpha = RandomSource(n).uniform(-1.0, 1.0, n), 0.5
+    source = rng(3)
+    blocks = recorded_blocks(source, monkeypatch)
     got = operators._rotate(best, 2, alpha, source)
     whole = rng(3)
-    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), whole._int32(2, n * n).ravel())
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), whole._int16(2, n * n).ravel())
     assert source.normal() == whole.normal(), "stream position after the call"
     monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * 8 * n * n)
     want = operators._rotate(best, 2, alpha, rng(3))
     eps = np.finfo(float).eps
     assert np.all(np.abs(got - want) <= 4 * np.sqrt(n) * eps * alpha + 2 * eps * np.abs(want))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_rotate_draws_blocks_of_four_rows_when_a_chunk_holds_fewer(chunk_rows, monkeypatch):
+    """Blocks of four rows span whole raw words at an odd n, so they still draw
+    the whole matrix's entries; smaller blocks would split a word between two."""
+    n, source = 101, rng(3)
+    blocks = recorded_blocks(source, monkeypatch)
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", chunk_rows * 8 * n)
+    operators._rotate(np.ones(n), 1, 1.0, source)
+    assert [b.shape for b in blocks] == [(1, 4 * n)] * 25 + [(1, n)]
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), rng(3)._int16(1, n * n).ravel())
 
 
 # ------------------------------------------------------------- translation

@@ -43,12 +43,12 @@ def reference_run(f, batch, lower, upper, seed, target=None):
             if kind == "expansion":
                 rows = x + 1.0 * gen.standard_normal((SE, n)) * x
             elif kind == "rotation":
-                # R = K * 2**-31, each matrix's int32 entries K read as
-                # little-endian halves of ceil(n*n / 2) raw 64-bit outputs.
-                h = (n * n + 1) // 2
-                k = gen.bit_generator.random_raw(SE * h).astype("<u8").view("<i4")
-                k = k.reshape(SE, 2 * h)[:, : n * n].astype(float).reshape(SE, n, n)
-                rows = x + alpha / (n * (np.linalg.norm(x) + EPS)) * (k @ (x * 2.0**-31))
+                # R = K * 2**-15, each matrix's int16 entries K read as
+                # little-endian quarters of ceil(n*n / 4) raw 64-bit outputs.
+                h = -(-n * n // 4)
+                k = gen.bit_generator.random_raw(SE * h).astype("<u8").view("<i2")
+                k = k.reshape(SE, 4 * h)[:, : n * n].astype(float).reshape(SE, n, n)
+                rows = x + alpha / (n * (np.linalg.norm(x) + EPS)) * (k @ (x * 2.0**-15))
             else:
                 axes = gen.integers(1, n + 1, size=SE) - 1
                 rows = np.repeat(x[None, :], SE, axis=0)
