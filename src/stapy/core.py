@@ -213,12 +213,13 @@ class StaParams:
 class RandomSource:
     """Seedable stream of the draw kinds the samplers consume.
 
-    Backed by numpy's PCG64 generator; rotation entries are int16 quarters of its
-    raw outputs.  Identical seeds and identical call sequences reproduce identical
-    streams within this implementation; bit-compatibility with other generators
-    is not a goal.  Instances are single-owner mutable state: share between
-    threads only with external synchronization.  ``seed`` is an integer in
-    [0, 2**64) (``3.0`` counts, ``1.5`` raises ValueError, a string TypeError).
+    Backed by numpy's PCG64 generator; rotation entries are the eight int8 bytes
+    of each raw output, low byte first.  Identical seeds and identical call
+    sequences reproduce identical streams within this implementation;
+    bit-compatibility with other generators is not a goal.  Instances are
+    single-owner mutable state: share between threads only with external
+    synchronization.  ``seed`` is an integer in [0, 2**64) (``3.0`` counts,
+    ``1.5`` raises ValueError, a string TypeError).
     """
 
     def __init__(self, seed: int = 0):
@@ -241,9 +242,9 @@ class RandomSource:
         """Uniform integers on {0, ..., n - 1}: ``Generator.integers(n, size=size)``."""
         return self._gen.integers(n, size=size)
 
-    def _int16(self, rows: int, width: int) -> Array:  # four per raw output, low quarter first
-        words = self._gen.bit_generator.random_raw(rows * -(-width // 4))  # per row, so chunks agree
-        return words.astype("<u8", copy=False).view("<i2").reshape(rows, -1)[:, :width]
+    def _int8(self, rows: int, width: int) -> Array:  # eight per raw output, low byte first
+        words = self._gen.bit_generator.random_raw(rows * -(-width // 8))  # per row, so chunks agree
+        return words.astype("<u8", copy=False).view(np.int8).reshape(rows, -1)[:, :width]
 
     def __repr__(self):
         return f"{type(self).__name__}(seed={self.seed})"

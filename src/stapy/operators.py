@@ -5,12 +5,11 @@ its inputs untouched.  The random draws consumed per call are fixed and
 documented on each function, so a seeded :class:`~stapy.core.RandomSource`
 reproduces batches exactly.
 
-All four transformations are multiplicative in the incumbent state, so any
-coordinate equal to zero stays zero in every sample; in particular the
-all-zero state is a fixed point of the whole family.  This is a deliberate,
-documented property of the method, not an oversight; the norm denominators
-are guarded with :data:`~stapy.core.EPS` so zero-norm states never divide by
-zero.
+All four transformations scale with the incumbent state, so the all-zero
+state is a fixed point of the whole family.  Expansion and axesion also keep
+any zero coordinate at zero; rotation and translation mix coordinates and move
+it.  The norm denominators are guarded with :data:`~stapy.core.EPS` so
+zero-norm states never divide by zero.
 
 Before any draw, each sampler judges its state, a finite, non-empty 1-D vector
 of integers or floats, ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
@@ -29,25 +28,28 @@ from .core import EPS, Array, RandomSource, _count, _instance, _quietly, _real, 
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
-# Bytes of float64 rotation entries drawn at once: the bound on the kernel's memory, and at n = 100,
-# se = 30, as fast as any size measured (see ROADMAP, "Not worth pursuing").
+# Bytes of float32 rotation entries drawn at once: the bound on the kernel's memory, and one whole
+# matrix up to n = 362 (see ROADMAP, "Not worth pursuing").
 _CHUNK_BYTES = 512 * 1024
 
 
 def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     """Sample a hypersphere of radius at most ``alpha`` around ``best``.
 
-    Each row is ``best + alpha / (n * (||best|| + eps)) * R @ best`` with
-    ``R = K * 2**-15`` redrawn for every row, ``K`` an n-by-n matrix of
-    independent uniform int16s: ``R`` is uniform on the 65,536-point grid of
-    [-1, 1), and ``||R @ best|| <= n * ||best||`` (Frobenius bound), so the
-    step norm never exceeds ``alpha``.
+    Each row is ``best + alpha / n * R @ u`` with ``u = best / (||best|| +
+    eps)`` and ``R = (K + 1/2) * 2**-7`` redrawn for every row, ``K`` an n-by-n
+    matrix of independent uniform int8s: ``R`` is uniform on the 256-point grid
+    of odd multiples of 1/256 in [-255/256, 255/256], with mean 0, and ``||R @
+    u|| <= n * 255/256`` (Frobenius bound), so the step norm never exceeds
+    ``alpha``: the 1/256 slack is far above float32 rounding.  ``K @ u`` is a
+    float32 product, which ``|u_i| <= 1`` keeps finite on any box; the scaling
+    and the sum with ``best`` are float64.
 
-    Draws: per row, ``ceil(n * n / 4)`` raw 64-bit outputs read as little-endian
-    int16 quarters, low first (an n * n that is not a multiple of 4 drops the
-    last 1-3 quarters), in chunks of about 512 KiB of float64: whole matrices, or
-    once one matrix is larger, blocks of a multiple of four of its rows (at
-    least four), so memory stays about one chunk.
+    Draws: per row, ``ceil(n * n / 8)`` raw 64-bit outputs read as int8 bytes,
+    low first (an n * n that is not a multiple of 8 drops the last 1-7 bytes),
+    in chunks of about 512 KiB of float32: whole matrices, or once one matrix is
+    larger, blocks of a multiple of eight of its rows (at least eight), so
+    memory stays about one chunk.
     """
     rng = _instance(rng, RandomSource, "rng")
     return _quietly(_rotate, _vector(best, "best"), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
@@ -55,19 +57,19 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
 
 def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
-    coef = alpha / (n * (math.sqrt(best.dot(best)) + EPS))  # np.linalg.norm's bits
-    rows = _CHUNK_BYTES // (8 * n)  # matrix rows per chunk
+    u = (best / (math.sqrt(best.dot(best)) + EPS)).astype(np.float32)  # np.linalg.norm's bits
+    rows = _CHUNK_BYTES // (4 * n)  # matrix rows per chunk
     k = min(se, max(1, rows // n))
-    # Past one matrix, blocks of a multiple of 4 rows: whole raw outputs, and on one
-    # BLAS thread the whole matrix's bits (OpenBLAS's gemv groups rows by 4).
-    b = n if rows >= n else max(4, rows - rows % 4)
-    steps, scaled = np.empty((se, n)), best * 2.0**-15
+    b = n if rows >= n else max(8, rows - rows % 8)  # past one matrix, blocks of whole raw outputs
+    steps = np.empty((se, n), np.float32)
     for s in range(0, se, k):
         m = min(k, se - s)
         for r in range(0, n, b):
             h = min(b, n - r)
-            np.matmul(rng._int16(m, h * n).reshape(m, h, n), scaled, out=steps[s : s + m, r : r + h])
-    return best + coef * steps
+            np.matmul(rng._int8(m, h * n).reshape(m, h, n), u, out=steps[s : s + m, r : r + h])
+    # (K + 1/2) @ u == K @ u + sum(u) / 2, brought to float64 before the scaling. fsum is
+    # exact whatever numpy's summation order, and at n = 10 cheaper than u.sum.
+    return best + alpha / n * 2.0**-7 * (steps.astype(float) + 0.5 * math.fsum(u.tolist()))
 
 
 def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) -> Array:

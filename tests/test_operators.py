@@ -1,5 +1,6 @@
 """Geometry and distribution checks for the four neighborhood samplers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -87,59 +88,68 @@ def test_rotate_actually_moves():
     assert np.linalg.norm(batch - np.ones(5), axis=1).max() > 0.0
 
 
-def as_signed(quarter):
-    return quarter - 2**16 if quarter >= 2**15 else quarter
+def test_rotate_step_norm_bounded_by_alpha_up_to_1e300():
+    """max ||row - best|| <= alpha over 1e4 rows, and at alpha = 1e300 every row
+    is finite: the float32 product is scaled in float64."""
+    best = np.linspace(-1.0, 2.0, 8)
+    for alpha in (1e-4, 1.0, 1e300):
+        batch = op_rotate(best, 10_000, alpha, rng(4))
+        assert np.isfinite(batch).all(), alpha
+        steps = np.linalg.norm((batch - best) / alpha, axis=1)
+        assert steps.max() <= 1.0, (alpha, steps.max())
 
 
-def quarters(seed, count):
-    """The signed 16-bit quarters of ``PCG64(seed)``'s first ``count`` raw words, low first."""
+def signed_bytes(seed, count):
+    """The signed bytes of ``PCG64(seed)``'s first ``count`` raw words, low first."""
     words = [int(w) for w in np.random.PCG64(seed).random_raw(count)]
-    return [as_signed(w >> shift & 0xFFFF) for w in words for shift in (0, 16, 32, 48)]
+    return [(w >> shift & 0xFF) - (w >> shift & 0x80) * 2 for w in words for shift in range(0, 64, 8)]
 
 
 @pytest.mark.parametrize("se", [1, 7, 30, 31])
 @pytest.mark.parametrize("n", [1, 10, 100, 101, 300])
 def test_rotate_chunked_draw_equals_whole_block_bits(n, se):
-    """Chunked kernel == one whole block of (se, n, n) int16 entries, bit for bit.
+    """Chunked kernel == one whole block of (se, n, n) int8 entries, bit for bit.
 
-    n = 100 and n = 101 split se = 7, 30 and 31 into chunks of 6 matrices (7
-    and 31 with a partial last one); n = 1 and n = 101 have an n * n that is
-    not a multiple of 4, so each matrix drops its last three quarters.  n = 300
+    n = 100 and n = 101 split se = 30 and 31 into chunks of 13 and 12 matrices,
+    with a partial last one; n = 1, 10 and 101 have an n * n that is not a
+    multiple of 8, so each matrix drops its last 7, 4 and 7 bytes.  n = 300
     draws one matrix per chunk.
     """
     best = np.random.default_rng(n).uniform(-5.0, 5.0, n)
     got_rng, ref_gen = rng(se), np.random.Generator(np.random.PCG64(se))
     got = op_rotate(best, se, 0.5, got_rng)
-    h = -(-n * n // 4)
-    k = ref_gen.bit_generator.random_raw(se * h).astype("<u8").view("<i2")
-    k = k.reshape(se, 4 * h)[:, : n * n].astype(float).reshape(se, n, n)
-    coef = 0.5 / (n * (np.linalg.norm(best) + EPS))
-    assert np.array_equal(got, best + coef * (k @ (best * 2.0**-15)))
+    h = -(-n * n // 8)
+    k = ref_gen.bit_generator.random_raw(se * h).astype("<u8").view(np.int8)
+    k = k.reshape(se, 8 * h)[:, : n * n].astype(np.float32).reshape(se, n, n)
+    u = (best / (np.linalg.norm(best) + EPS)).astype(np.float32)
+    want = best + 0.5 / n * 2.0**-7 * ((k @ u).astype(float) + 0.5 * math.fsum(u.tolist()))
+    assert np.array_equal(got, want)
     assert np.array_equal(got_rng.uniform(-1.0, 1.0, 5), ref_gen.uniform(-1.0, 1.0, 5)), (
         "stream position after the call"
     )
 
 
-def test_rotation_entries_are_the_signed_quarters_of_raw_words_low_first():
-    q = quarters(5, 4)
-    entries = RandomSource(5)._int16(2, 8)
-    assert entries.dtype == np.int16
-    assert entries.tolist() == [q[:8], q[8:]]
+def test_rotation_entries_are_the_signed_bytes_of_raw_words_low_first():
+    b = signed_bytes(5, 4)
+    entries = RandomSource(5)._int8(2, 16)
+    assert entries.dtype == np.int8
+    assert entries.tolist() == [b[:16], b[16:]]
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 7])
-def test_rotation_entries_of_a_width_not_a_multiple_of_four_drop_each_rows_last_quarters(width):
-    words = -(-width // 4)  # per row
-    q = quarters(6, 2 * words)
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 9])
+def test_rotation_entries_of_a_width_not_a_multiple_of_eight_drop_each_rows_last_bytes(width):
+    words = -(-width // 8)  # per row
+    b = signed_bytes(6, 2 * words)
     source = RandomSource(6)
-    assert source._int16(2, width).tolist() == [q[:width], q[4 * words : 4 * words + width]]
+    assert source._int8(2, width).tolist() == [b[:width], b[8 * words : 8 * words + width]]
     after = np.random.Generator(np.random.PCG64(6)).uniform(0.0, 1.0, 2 * words + 1)[-1]
     assert source.uniform(0.0, 1.0) == after, f"{2 * words} raw words consumed"
 
 
-def test_rotation_entries_scale_onto_a_uniform_grid_of_minus_one_to_one():
-    r = RandomSource(8)._int16(1000, 1000) * 2.0**-15
-    assert r.min() >= -1.0 and r.max() < 1.0
+def test_rotation_entries_scale_onto_a_symmetric_grid_of_256_values():
+    r = (RandomSource(8)._int8(1000, 1000) + 0.5) * 2.0**-7
+    assert r.min() == -255 / 256 and r.max() == 255 / 256
+    assert np.unique(r).size == 256
     assert abs(r.mean()) < 3e-3
     assert abs(r.var() - 1.0 / 3.0) < 3e-3
 
@@ -169,48 +179,63 @@ def test_rotate_peak_memory_stays_under_two_chunks_past_one_matrix():
 
 
 def recorded_blocks(source, monkeypatch):
-    """The list that each later ``source._int16`` draw is appended to."""
-    blocks, draw = [], source._int16
+    """The list that each later ``source._int8`` draw is appended to."""
+    blocks, draw = [], source._int8
 
     def recorded(rows, width):
         blocks.append(draw(rows, width))
         return blocks[-1]
 
-    monkeypatch.setattr(source, "_int16", recorded)
+    monkeypatch.setattr(source, "_int8", recorded)
     return blocks
 
 
-@pytest.mark.parametrize("n", [257, 1000, 1001])
+@pytest.mark.parametrize("n", [300, 362, 363])
+def test_rotate_draws_whole_matrices_up_to_n_362(n, monkeypatch):
+    """One matrix of float32 entries fits in a chunk up to n = 362; past it the
+    draw comes in blocks of a multiple of eight rows and a remainder."""
+    source = rng(3)
+    blocks = recorded_blocks(source, monkeypatch)
+    operators._rotate(np.ones(n), 2, 1.0, source)
+    heights = [b.shape[1] // n for b in blocks]
+    assert [b.shape[0] for b in blocks] == [1] * len(blocks)
+    if n <= 362:
+        assert heights == [n, n]
+    else:
+        assert heights == [360, 3, 360, 3]
+
+
+@pytest.mark.parametrize("n", [363, 1000, 1001])
 def test_rotate_in_row_blocks_equals_the_whole_matrix_draw(n, monkeypatch):
-    """Blocks of rows draw the whole matrix's int16 entries, bit for bit, and
+    """Blocks of rows draw the whole matrix's int8 entries, bit for bit, and
     leave the stream where it leaves it.  The products agree within the bound of
-    reordering each row's sum, 4 * sqrt(n) * eps * alpha plus two ulps of each
-    entry: a BLAS may split the whole matrix's product over threads.  n = 257 and
-    n = 1001 have an n * n that is not a multiple of 4, so each matrix drops
-    three quarters."""
+    reordering each row's float32 sum, 4 * sqrt(n) * eps32 * alpha, plus two
+    ulps of each entry: a BLAS may split the whole matrix's product over
+    threads.  n = 363 and n = 1001 have an n * n that is not a multiple of 8, so
+    each matrix drops seven bytes."""
     best, alpha = RandomSource(n).uniform(-1.0, 1.0, n), 0.5
     source = rng(3)
     blocks = recorded_blocks(source, monkeypatch)
     got = operators._rotate(best, 2, alpha, source)
     whole = rng(3)
-    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), whole._int16(2, n * n).ravel())
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), whole._int8(2, n * n).ravel())
     assert source.normal() == whole.normal(), "stream position after the call"
-    monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * 8 * n * n)
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * 4 * n * n)
     want = operators._rotate(best, 2, alpha, rng(3))
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(got - want) <= 4 * np.sqrt(n) * eps * alpha + 2 * eps * np.abs(want))
+    eps32, eps = np.finfo(np.float32).eps, np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4 * np.sqrt(n) * eps32 * alpha + 2 * eps * np.abs(want))
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
-def test_rotate_draws_blocks_of_four_rows_when_a_chunk_holds_fewer(chunk_rows, monkeypatch):
-    """Blocks of four rows span whole raw words at an odd n, so they still draw
+@pytest.mark.parametrize("chunk_rows", [1, 4, 7])
+def test_rotate_draws_blocks_of_eight_rows_when_a_chunk_holds_fewer(chunk_rows, monkeypatch):
+    """Blocks of eight rows span whole raw words at an odd n, so they still draw
     the whole matrix's entries; smaller blocks would split a word between two."""
     n, source = 101, rng(3)
     blocks = recorded_blocks(source, monkeypatch)
-    monkeypatch.setattr(operators, "_CHUNK_BYTES", chunk_rows * 8 * n)
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", chunk_rows * 4 * n)
     operators._rotate(np.ones(n), 1, 1.0, source)
-    assert [b.shape for b in blocks] == [(1, 4 * n)] * 25 + [(1, n)]
-    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), rng(3)._int16(1, n * n).ravel())
+    assert [b.shape for b in blocks] == [(1, 8 * n)] * 12 + [(1, 5 * n)]
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), rng(3)._int8(1, n * n).ravel())
 
 
 # ------------------------------------------------------------- translation

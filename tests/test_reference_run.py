@@ -7,6 +7,8 @@ statistical acceptance gates would still pass.  A change that alters the
 stream on purpose edits this reference in the same diff.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,12 +45,15 @@ def reference_run(f, batch, lower, upper, seed, target=None):
             if kind == "expansion":
                 rows = x + 1.0 * gen.standard_normal((SE, n)) * x
             elif kind == "rotation":
-                # R = K * 2**-15, each matrix's int16 entries K read as
-                # little-endian quarters of ceil(n*n / 4) raw 64-bit outputs.
-                h = -(-n * n // 4)
-                k = gen.bit_generator.random_raw(SE * h).astype("<u8").view("<i2")
-                k = k.reshape(SE, 4 * h)[:, : n * n].astype(float).reshape(SE, n, n)
-                rows = x + alpha / (n * (np.linalg.norm(x) + EPS)) * (k @ (x * 2.0**-15))
+                # R = (K + 1/2) * 2**-7, each matrix's int8 entries K read as
+                # the bytes of ceil(n*n / 8) raw 64-bit outputs, low first;
+                # K @ u in float32 on u = x / (||x|| + eps).
+                h = -(-n * n // 8)
+                k = gen.bit_generator.random_raw(SE * h).astype("<u8").view(np.int8)
+                k = k.reshape(SE, 8 * h)[:, : n * n].astype(np.float32).reshape(SE, n, n)
+                u = (x / (np.linalg.norm(x) + EPS)).astype(np.float32)
+                ku = (k @ u).astype(float) + 0.5 * math.fsum(u.tolist())
+                rows = x + alpha / n * 2.0**-7 * ku
             else:
                 axes = gen.integers(1, n + 1, size=SE) - 1
                 rows = np.repeat(x[None, :], SE, axis=0)
