@@ -8,8 +8,10 @@ reproduces batches exactly.
 All four transformations scale with the incumbent state, so the all-zero
 state is a fixed point of the whole family.  Expansion and axesion also keep
 any zero coordinate at zero; rotation and translation mix coordinates and move
-it.  The norm denominators are guarded with :data:`~stapy.core.EPS` so
-zero-norm states never divide by zero.
+it.  Rotation and translation divide by a norm plus :data:`~stapy.core.EPS`,
+so zero-norm states never divide by zero; the norm is ``sqrt(v . v)`` while
+``v . v`` is finite, and a scaled norm (``math.hypot``) once it overflows, so a
+state past about 1e154 still gives a direction.
 
 Before any draw, each sampler judges its state, a finite, non-empty 1-D vector
 of integers or floats, ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
@@ -31,6 +33,13 @@ __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 # Bytes of float32 rotation entries drawn at once: the bound on the kernel's memory, and one whole
 # matrix up to n = 362 (see ROADMAP, "Not worth pursuing").
 _CHUNK_BYTES = 512 * 1024
+
+
+def _unit(v: Array) -> Array:
+    # v / (||v|| + eps). The norm has np.linalg.norm's bits while v . v is finite; past about
+    # 1.3e154, v . v overflows and hypot's scaled norm stands in for it.
+    vv = v.dot(v)
+    return v / ((math.sqrt(vv) if vv < math.inf else math.hypot(*v.tolist())) + EPS)
 
 
 def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
@@ -57,7 +66,7 @@ def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
 
 def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
-    u = (best / (math.sqrt(best.dot(best)) + EPS)).astype(np.float32)  # np.linalg.norm's bits
+    u = _unit(best).astype(np.float32)
     rows = _CHUNK_BYTES // (4 * n)  # matrix rows per chunk
     k = min(se, max(1, rows // n))
     b = n if rows >= n else max(8, rows - rows % 8)  # past one matrix, blocks of whole raw outputs
@@ -91,9 +100,7 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
 
 
 def _translate(old_best: Array, new_best: Array, se: int, beta: float, rng: RandomSource) -> Array:
-    diff = new_best - old_best
-    direction = diff / (math.sqrt(diff.dot(diff)) + EPS)
-    return new_best + rng.uniform(0.0, beta, se)[:, None] * direction
+    return new_best + rng.uniform(0.0, beta, se)[:, None] * _unit(new_best - old_best)
 
 
 def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:

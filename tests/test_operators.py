@@ -272,6 +272,17 @@ def test_translate_beta_caps_distance_general_direction():
     assert (offsets @ direction >= 0.0).all(), "steps never backtrack"
 
 
+def test_rotate_and_translate_move_a_state_past_1e154():
+    """Past about 1.3e154, v . v overflows; the norm must not, or the unit
+    direction is 0 and every row is a copy of the incumbent."""
+    b = np.array([1e200, -1e200, 3e199])
+    step = 1e190
+    for batch in (op_rotate(b, 30, step, rng(8)), op_translate(b / 2, b, 30, step, rng(8))):
+        assert np.isfinite(batch).all()
+        assert (batch != b).any(axis=1).all(), "every row moves"
+        assert np.linalg.norm((batch - b) / step, axis=1).max() <= 1.0
+
+
 # -------------------------------------------------------------- expansion
 
 
