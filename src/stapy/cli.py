@@ -188,6 +188,8 @@ def _file_key(path: str):  # an existing file by device and inode, which a hard 
 def _unwritable(path: str) -> Optional[str]:
     """Why opening ``path`` to write must fail, found without creating it, or None;
     ``os.access`` asks with the real ids, and any refusal reads EACCES (even EROFS)."""
+    if not path:  # open("") fails, although "." would be its parent
+        return os.strerror(errno.ENOENT)
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
@@ -215,7 +217,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if extra:  # argparse's own message quotes every extra token in full
         parser.error(f"{len(extra)} unrecognized argument(s), the first {_quoted(extra[0])}")
     _without_nul({"--config": args.config, "--bounds-file": args.bounds_file})
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg = _load_config_file(args.config) if args.config is not None else {}
     if file_cfg:
         parser.set_defaults(
             **{
@@ -299,11 +301,11 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     _without_nul(outputs)
     first: dict = {}  # each file's first flag; no output may share one
     for flag, path in {"--config": args.config, "--bounds-file": args.bounds_file, **outputs}.items():
-        other = first.setdefault(_file_key(path), flag) if path else flag
+        other = first.setdefault(_file_key(path), flag) if path else flag  # "" names no file
         if other != flag and flag in outputs:
             raise CliError(f"{other} and {flag} name the same file")
-    for path in filter(None, outputs.values()):
-        if reason := _unwritable(path):
+    for path in outputs.values():
+        if path is not None and (reason := _unwritable(path)):
             raise OSError(f"cannot write {path}: {reason}")
 
     return RunConfig(
@@ -330,7 +332,8 @@ def _params_document(config: RunConfig) -> dict:
 def run_command(config: RunConfig) -> int:
     """Execute one run per seed, print summaries, write JSON/CSV; return 0,
     or raise RunAborted for a run and OSError for an output file.  A run that
-    raises leaves no output file: a failed write removes every output opened."""
+    raises leaves no output file: a failed write removes every regular file it
+    opened, through a symlink the file it points to, and unlinks nothing else."""
     records = []
     for seed in config.seeds:
         start = time.perf_counter()
@@ -355,7 +358,7 @@ def run_command(config: RunConfig) -> int:
             os.close(devnull)
 
     outputs = []
-    if config.out_json:
+    if config.out_json is not None:
         params_doc = _params_document(config)
         summary = [
             {
@@ -369,7 +372,7 @@ def run_command(config: RunConfig) -> int:
             for seed, result, runtime_ms in records
         ]
         outputs.append((config.out_json, json.dumps(summary, indent=2) + "\n"))
-    if config.out_csv:
+    if config.out_csv is not None:
         lines = ["seed,iteration,fbest"] + [
             f"{seed},{iteration},{value!r}"
             for seed, result, _ in records
@@ -385,8 +388,10 @@ def run_command(config: RunConfig) -> int:
                 handle.write(text)
     except OSError as err:
         for done in opened:  # whole or partial; never a file that open refused
-            with suppress(OSError):
-                os.remove(done)
+            written = os.path.realpath(done)  # through a symlink, the file it points to
+            if os.path.isfile(written):  # never a symlink, a device or a FIFO
+                with suppress(OSError):
+                    os.remove(written)
         raise OSError(f"cannot write {path}: {err.strerror}") from err
     return 0
 

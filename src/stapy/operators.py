@@ -10,8 +10,9 @@ state is a fixed point of the whole family.  Expansion and axesion also keep
 any zero coordinate at zero; rotation and translation mix coordinates and move
 it.  Rotation and translation divide by a norm plus :data:`~stapy.core.EPS`,
 so zero-norm states never divide by zero; the norm is ``sqrt(v . v)`` while
-``v . v`` is finite, and a scaled norm (``math.hypot``) once it overflows, so a
-state past about 1e154 still gives a direction.
+``v . v`` is finite, and the norm of ``v`` divided by its largest ``|v_i|`` once
+it overflows, so any finite state, even one whose norm passes the float range,
+still gives a direction.
 
 Before any draw, each sampler judges its state, a finite, non-empty 1-D vector
 of integers or floats, ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
@@ -37,9 +38,16 @@ _CHUNK_BYTES = 512 * 1024
 
 def _unit(v: Array) -> Array:
     # v / (||v|| + eps). The norm has np.linalg.norm's bits while v . v is finite; past about
-    # 1.3e154, v . v overflows and hypot's scaled norm stands in for it.
+    # 1.3e154, v . v overflows, and a finite v is first divided by its largest |v_i|, so its
+    # direction survives even a norm past the float range. An inf entry makes the norm inf.
     vv = v.dot(v)
-    return v / ((math.sqrt(vv) if vv < math.inf else math.hypot(*v.tolist())) + EPS)
+    if vv < math.inf:
+        return v / (math.sqrt(vv) + EPS)
+    scale = np.abs(v).max()
+    if not scale < math.inf:
+        return v / math.inf
+    w = v / scale
+    return w / (math.sqrt(w.dot(w)) + EPS / scale)
 
 
 def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:

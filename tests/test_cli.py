@@ -121,6 +121,7 @@ def test_parse_config_expression_function():
         (["--function", "sphere", "--dim", "2", "--se", "0"], "se"),
         (["--function", "sphere", "--dim", "2", "--seed", "-1"], "seed"),
         (["--function", "sphere", "--dim", "2", "--gamma", "inf"], "gamma"),
+        (["--config", ""], "^cannot read config file : No such file or directory$"),
     ],
 )
 def test_parse_config_actionable_errors(args, needle):
@@ -613,6 +614,7 @@ def test_main_unwritable_output_exits_1(tmp_path, capsys):
     assert "error: cannot write" in err
 
 
+@pytest.mark.parametrize("given", ["flag", "config key"])
 @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
 @pytest.mark.parametrize(
     "fault,reason",
@@ -621,17 +623,21 @@ def test_main_unwritable_output_exits_1(tmp_path, capsys):
         ("parent is a file", errno.ENOTDIR),
         ("a directory", errno.EISDIR),
         ("parent not writable", errno.EACCES),
+        ("empty", errno.ENOENT),
     ],
 )
-def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, flag, fault, reason):
-    """A path that cannot be opened to write is reported before the first
-    seed runs: exit 1, one stderr line, empty stdout, and no output file."""
+def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, given, flag, fault,
+                                                reason):
+    """A path that cannot be opened to write, the empty one included, is
+    reported before the first seed runs: exit 1, one stderr line, empty
+    stdout, and no output file."""
     (tmp_path / "file").write_text("", encoding="utf-8")
     path = {
         "missing parent": tmp_path / "missing" / "x",
         "parent is a file": tmp_path / "file" / "x",
         "a directory": tmp_path,
         "parent not writable": tmp_path / "x",
+        "empty": "",
     }[fault]
     if fault == "parent not writable":  # chmod does not bind a superuser
         real_access = os.access
@@ -641,11 +647,15 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, f
     monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
     (tmp_path / "ok").mkdir()
     other = tmp_path / "ok" / "other"
-    code, out, err = run_cli(
-        ["--function", "griewank", "--dim", "10", "--seed", "1", "--seed", "2",
-         flag, str(path), "--out-csv" if flag == "--out-json" else "--out-json", str(other)],
-        capsys,
-    )
+    args = ["--function", "griewank", "--dim", "10", "--seed", "1", "--seed", "2",
+            "--out-csv" if flag == "--out-json" else "--out-json", str(other)]
+    if given == "flag":
+        args += [flag, str(path)]
+    else:
+        cfg = tmp_path / "ok" / "run.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): str(path)}))
+        args += ["--config", str(cfg)]
+    code, out, err = run_cli(args, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
     assert not other.exists() and not (tmp_path / "x").exists()
@@ -731,6 +741,35 @@ def test_failed_write_removes_every_output_it_opened(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {tmp_path}") and err.count("\n") == 1
     assert err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_removes_the_file_a_symlink_names_and_keeps_the_link(tmp_path, capsys):
+    """The JSON is written through a symlink, then the CSV cannot be opened:
+    exit 1, the file the JSON was written into is removed, the link is not."""
+    link, target = tmp_path / "link.json", tmp_path / "target.txt"
+    target.write_text("target\n")
+    link.symlink_to(target.name)
+    code, _, err = run_cli(
+        ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
+         "--out-json", str(link), "--out-csv", str(tmp_path / ("x" * 300))],
+        capsys,
+    )
+    assert code == 1 and err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
+
+
+def test_failed_write_never_unlinks_a_device(tmp_path, monkeypatch, capsys):
+    """An output written to a device is left to it: a failed write that
+    follows it removes nothing."""
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)  # no real device node is unlinked
+    code, _, err = run_cli(
+        ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
+         "--out-json", os.devnull, "--out-csv", str(tmp_path / ("x" * 300))],
+        capsys,
+    )
+    assert code == 1 and err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert removed == []
 
 
 def test_failed_write_keeps_a_file_it_could_not_open(tmp_path, monkeypatch, capsys):

@@ -227,6 +227,7 @@ def test_random_source_ranges():
     k = rng.integers(6, size=10_000)
     assert k.min() >= 0 and k.max() <= 5
     assert set(np.unique(k)) == {0, 1, 2, 3, 4, 5}, "all of {0..n-1} reachable"
+    assert repr(RandomSource(7)) == "RandomSource(seed=7)"
 
 
 def test_run_result_readonly_views():

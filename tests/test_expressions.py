@@ -20,6 +20,7 @@ def test_quadratic_expression_at_origin():
 def test_simple_sum_of_squares():
     f = parse_expression("x1^2+x2^2", 2)
     assert f(np.array([3.0, 4.0])) == 25.0
+    assert repr(parse_expression("x1^2", 1)) == "CompiledExpression('x1^2', dim=1)"
 
 
 @pytest.mark.parametrize(

@@ -273,14 +273,26 @@ def test_translate_beta_caps_distance_general_direction():
 
 
 def test_rotate_and_translate_move_a_state_past_1e154():
-    """Past about 1.3e154, v . v overflows; the norm must not, or the unit
-    direction is 0 and every row is a copy of the incumbent."""
+    """Past about 1.3e154, v . v overflows, and past about 1.8e308 so does the
+    norm itself; the direction must not, or it is 0 and every row is a copy of
+    the incumbent."""
     b = np.array([1e200, -1e200, 3e199])
-    step = 1e190
-    for batch in (op_rotate(b, 30, step, rng(8)), op_translate(b / 2, b, 30, step, rng(8))):
+    far = np.full(3, -1e307)  # 1.1e308 from np.full(3, 1e308) on every axis
+    for batch, origin, step in (
+        (op_rotate(b, 30, 1e190, rng(8)), b, 1e190),
+        (op_translate(b / 2, b, 30, 1e190, rng(8)), b, 1e190),
+        (op_translate(np.full(3, 1e308), far, 30, 1e306, rng(8)), far, 1e306),
+    ):
         assert np.isfinite(batch).all()
-        assert (batch != b).any(axis=1).all(), "every row moves"
-        assert np.linalg.norm((batch - b) / step, axis=1).max() <= 1.0
+        assert (batch != origin).any(axis=1).all(), "every row moves"
+        assert np.linalg.norm((batch - origin) / step, axis=1).max() <= 1.0
+
+
+def test_translate_along_an_overflowing_difference_keeps_its_finite_axes():
+    """new_best - old_best is -inf on axis 0: the norm is inf, so that axis
+    reads nan and the finite axis does not move."""
+    batch = op_translate([1.7e308, 0.0], [-1.7e308, 1.0], 5, 1.0, rng(8))
+    assert np.isnan(batch[:, 0]).all() and (batch[:, 1] == 1.0).all()
 
 
 # -------------------------------------------------------------- expansion
