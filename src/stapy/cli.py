@@ -9,12 +9,11 @@ replayed verbatim.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
 import sys
 import time
-from contextlib import suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from typing import NoReturn, Optional, Sequence, Union
 
@@ -174,7 +173,7 @@ def _search_space(rows: Union[str, list[str]], dim: int, where: str) -> SearchSp
 
 def _without_nul(paths: dict[str, Optional[str]]) -> None:
     for flag, path in paths.items():
-        if path and "\0" in path:  # no file has such a name; stat, realpath and open raise ValueError
+        if path and "\0" in path:  # no file has such a name; _file_key and open raise ValueError
             raise CliError(f"{flag} must name a path without a NUL byte, got {_quoted(path)}")
 
 
@@ -185,31 +184,18 @@ def _file_key(path: str):  # an existing file by device and inode, which a hard 
     return os.path.realpath(path)
 
 
-def _unwritable(path: str) -> Optional[str]:
-    """Why opening ``path`` to write must fail, found without creating it, or None;
-    ``os.access`` asks with the real ids, and any refusal reads EACCES (even EROFS)."""
-    if not path:  # open("") fails, although "." would be its parent
-        return os.strerror(errno.ENOENT)
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        return os.strerror(errno.EISDIR)
-    if not os.path.isdir(parent):
-        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
-    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        return os.strerror(errno.EACCES)
-
-
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Resolve flags, config file, and defaults into a validated RunConfig.
 
     A config-file value is read exactly like the flag it stands for: it
     becomes that flag's default as a string (its JSON text unless it is a
     string), which argparse types with the flag's ``type`` when the flag is
-    not given.  A ``seeds`` list becomes ``--seed`` arguments.  Every path is
-    judged before any seed runs, an input's NUL byte before any file is read,
-    and no output may name an input, hard links included.  Raises CliError
-    for a configuration problem, argparse's included, and OSError for an
-    output that cannot be written; only ``--help`` exits.
+    not given.  A ``seeds`` list becomes ``--seed`` arguments.  No path may
+    hold a NUL byte, judged for an input before any file is read, and no
+    output may name an input, hard links included; ``run_command`` opens the
+    outputs.
+    Raises CliError for a configuration problem, argparse's included; only
+    ``--help`` exits.
     """
     parser = build_parser()
     argv = _normalize_argv(parser, sys.argv[1:] if argv is None else argv)
@@ -304,9 +290,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         other = first.setdefault(_file_key(path), flag) if path else flag  # "" names no file
         if other != flag and flag in outputs:
             raise CliError(f"{other} and {flag} name the same file")
-    for path in outputs.values():
-        if path is not None and (reason := _unwritable(path)):
-            raise OSError(f"cannot write {path}: {reason}")
 
     return RunConfig(
         function=function,
@@ -329,70 +312,77 @@ def _params_document(config: RunConfig) -> dict:
     return doc
 
 
-def run_command(config: RunConfig) -> int:
-    """Execute one run per seed, print summaries, write JSON/CSV; return 0,
-    or raise RunAborted for a run and OSError for an output file.  A run that
-    raises leaves no output file: a failed write removes every regular file it
-    opened, through a symlink the file it points to, and unlinks nothing else."""
-    records = []
-    for seed in config.seeds:
-        start = time.perf_counter()
-        result = sta_run(
-            config.objective,
-            config.space,
-            config.params,
-            rng=seed,
-            target_fitness=config.target_fitness,
-        )
-        runtime_ms = (time.perf_counter() - start) * 1e3
-        records.append((seed, result, runtime_ms))
-        best_str = "[" + ", ".join(f"{v:.8g}" for v in result.best) + "]"
-        try:
-            print(f"seed {seed}: fbest={result.fbest!r} evaluations={result.evaluations} "
-                  f"runtime={runtime_ms:.1f} ms\n  best = {best_str}", flush=True)
-        except BrokenPipeError:
-            # A closed stdout costs only the printed lines.  Point it at the
-            # null device so that later prints and the flush at exit pass.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-
-    outputs = []
-    if config.out_json is not None:
-        params_doc = _params_document(config)
-        summary = [
-            {
-                "seed": seed,
-                "best": result.best.tolist(),
-                "fbest": result.fbest,
-                "evaluations": result.evaluations,
-                "runtime_ms": runtime_ms,
-                "params": params_doc,
-            }
-            for seed, result, runtime_ms in records
-        ]
-        outputs.append((config.out_json, json.dumps(summary, indent=2) + "\n"))
-    if config.out_csv is not None:
-        lines = ["seed,iteration,fbest"] + [
-            f"{seed},{iteration},{value!r}"
-            for seed, result, _ in records
-            for iteration, value in enumerate(result.history.tolist(), start=1)
-        ]
-        outputs.append((config.out_csv, "\n".join(lines) + "\n"))
-
-    opened = []
+@contextmanager
+def _writing(path: str):
     try:
-        for path, text in outputs:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                opened.append(path)
-                handle.write(text)
-    except OSError as err:
-        for done in opened:  # whole or partial; never a file that open refused
-            written = os.path.realpath(done)  # through a symlink, the file it points to
-            if os.path.isfile(written):  # never a symlink, a device or a FIFO
-                with suppress(OSError):
-                    os.remove(written)
+        yield
+    except OSError as err:  # its strerror omits the path
         raise OSError(f"cannot write {path}: {err.strerror}") from err
+
+
+def run_command(config: RunConfig) -> int:
+    """Open the outputs, JSON then CSV, run each seed and print its summary,
+    then write the outputs; return 0, or raise RunAborted or OSError.  An
+    output that exists is truncated when opened, as the shell's ``>`` does;
+    whatever ends the command early removes only the outputs it created."""
+    paths = [path for path in (config.out_json, config.out_csv) if path is not None]
+    created = []
+    try:
+        with ExitStack() as stack:
+            handles = []
+            for path in paths:
+                new = not os.path.lexists(path)  # created: no path, not even a link, before its open
+                with _writing(path):
+                    handles.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="\n")))
+                if new:
+                    created.append(path)
+            records = []
+            for seed in config.seeds:
+                start = time.perf_counter()
+                result = sta_run(config.objective, config.space, config.params, rng=seed,
+                                 target_fitness=config.target_fitness)
+                runtime_ms = (time.perf_counter() - start) * 1e3
+                records.append((seed, result, runtime_ms))
+                best_str = "[" + ", ".join(f"{v:.8g}" for v in result.best) + "]"
+                try:
+                    print(f"seed {seed}: fbest={result.fbest!r} evaluations={result.evaluations} "
+                          f"runtime={runtime_ms:.1f} ms\n  best = {best_str}", flush=True)
+                except BrokenPipeError:
+                    # A closed stdout costs only the printed lines.  Point it at the
+                    # null device so that later prints and the flush at exit pass.
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, sys.stdout.fileno())
+                    os.close(devnull)
+            texts = []
+            if config.out_json is not None:
+                params_doc = _params_document(config)
+                summary = [
+                    {
+                        "seed": seed,
+                        "best": result.best.tolist(),
+                        "fbest": result.fbest,
+                        "evaluations": result.evaluations,
+                        "runtime_ms": runtime_ms,
+                        "params": params_doc,
+                    }
+                    for seed, result, runtime_ms in records
+                ]
+                texts.append(json.dumps(summary, indent=2) + "\n")
+            if config.out_csv is not None:
+                lines = ["seed,iteration,fbest"] + [
+                    f"{seed},{iteration},{value!r}"
+                    for seed, result, _ in records
+                    for iteration, value in enumerate(result.history.tolist(), start=1)
+                ]
+                texts.append("\n".join(lines) + "\n")
+            for path, handle, text in zip(paths, handles, texts):
+                with _writing(path), handle:
+                    handle.write(text)
+    except BaseException:  # KeyboardInterrupt included
+        for path in created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
     return 0
 
 

@@ -12,7 +12,8 @@ it.  Rotation and translation divide by a norm plus :data:`~stapy.core.EPS`,
 so zero-norm states never divide by zero; the norm is ``sqrt(v . v)`` while
 ``v . v`` is finite, and the norm of ``v`` divided by its largest ``|v_i|`` once
 it overflows, so any finite state, even one whose norm passes the float range,
-still gives a direction.
+still gives a direction.  Translation takes its direction from the halves of
+its two states when their difference overflows.
 
 Before any draw, each sampler judges its state, a finite, non-empty 1-D vector
 of integers or floats, ``se``, an integer >= 1 (``3.0`` counts, ``3.9`` raises
@@ -38,14 +39,14 @@ _CHUNK_BYTES = 512 * 1024
 
 def _unit(v: Array) -> Array:
     # v / (||v|| + eps). The norm has np.linalg.norm's bits while v . v is finite; past about
-    # 1.3e154, v . v overflows, and a finite v is first divided by its largest |v_i|, so its
-    # direction survives even a norm past the float range. An inf entry makes the norm inf.
+    # 1.3e154, v . v overflows, and v is first divided by its largest |v_i|, so its direction
+    # survives even a norm past the float range. A v with an inf entry has none: OverflowError.
     vv = v.dot(v)
     if vv < math.inf:
         return v / (math.sqrt(vv) + EPS)
     scale = np.abs(v).max()
     if not scale < math.inf:
-        return v / math.inf
+        raise OverflowError("a vector with an infinite entry has no direction")
     w = v / scale
     return w / (math.sqrt(w.dot(w)) + EPS / scale)
 
@@ -108,7 +109,11 @@ def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) ->
 
 
 def _translate(old_best: Array, new_best: Array, se: int, beta: float, rng: RandomSource) -> Array:
-    return new_best + rng.uniform(0.0, beta, se)[:, None] * _unit(new_best - old_best)
+    try:
+        u = _unit(new_best - old_best)
+    except OverflowError:  # the difference of two finite states overflows; that of their halves cannot
+        u = _unit(new_best / 2 - old_best / 2)
+    return new_best + rng.uniform(0.0, beta, se)[:, None] * u
 
 
 def op_expand(best, se: int, gamma: float, rng: RandomSource) -> Array:

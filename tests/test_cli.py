@@ -624,13 +624,14 @@ def test_main_unwritable_output_exits_1(tmp_path, capsys):
         ("a directory", errno.EISDIR),
         ("parent not writable", errno.EACCES),
         ("empty", errno.ENOENT),
+        ("name too long", errno.ENAMETOOLONG),
     ],
 )
 def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, given, flag, fault,
                                                 reason):
     """A path that cannot be opened to write, the empty one included, is
     reported before the first seed runs: exit 1, one stderr line, empty
-    stdout, and no output file."""
+    stdout, and no file created, the other output's included."""
     (tmp_path / "file").write_text("", encoding="utf-8")
     path = {
         "missing parent": tmp_path / "missing" / "x",
@@ -638,12 +639,18 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, g
         "a directory": tmp_path,
         "parent not writable": tmp_path / "x",
         "empty": "",
+        "name too long": "x" * 256,  # relative, so that the line stays under main's cut
     }[fault]
-    if fault == "parent not writable":  # chmod does not bind a superuser
-        real_access = os.access
-        monkeypatch.setattr(
-            cli.os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode)
-        )
+    monkeypatch.chdir(tmp_path)
+    if fault == "parent not writable":  # chmod does not bind a superuser: open refuses instead
+        real_open = open
+
+        def refuse(name, *args, **kwargs):
+            if str(name) == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            return real_open(name, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
     monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
     (tmp_path / "ok").mkdir()
     other = tmp_path / "ok" / "other"
@@ -655,10 +662,29 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, g
         cfg = tmp_path / "ok" / "run.json"
         cfg.write_text(json.dumps({flag[2:].replace("-", "_"): str(path)}))
         args += ["--config", str(cfg)]
+    before = sorted(tmp_path.rglob("*"))
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
-    assert not other.exists() and not (tmp_path / "x").exists()
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                    reason="a superuser may write into a directory that chmod 0o555 guards")
+def test_output_in_a_read_only_directory_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    """The kernel's own EACCES, not a stand-in for it: exit 1, one line, no seed."""
+    guarded = tmp_path / "guarded"
+    guarded.mkdir()
+    guarded.chmod(0o555)
+    monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
+    path = guarded / "x.json"
+    try:
+        code, out, err = run_cli(["--function", "sphere", "--dim", "2", "--out-json", str(path)], capsys)
+    finally:
+        guarded.chmod(0o755)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {path}: {os.strerror(errno.EACCES)}\n"
+    assert list(guarded.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--out-json", "--out-csv", "--config", "--bounds-file"])
@@ -704,18 +730,16 @@ class _DiskFullAfterTenCharacters:
 
 
 @pytest.mark.parametrize("fault,reason", [
-    ("name too long", errno.ENAMETOOLONG),
     ("disk full", errno.ENOSPC),
 ])
 def test_write_error_after_the_runs_leaves_no_output_file(tmp_path, monkeypatch, capsys,
                                                           fault, reason):
-    """A write error that the early check cannot see shows after the runs:
-    exit 1, one error line ending in the reason, and the partial file is
-    removed, so neither output file remains."""
-    json_path = tmp_path / ("x" * 300 if fault == "name too long" else "x.json")
+    """A write error shows after the runs: exit 1, one error line ending in
+    the reason, and the partial file is removed, so neither output file
+    remains."""
+    json_path = tmp_path / "x.json"
     csv_path = tmp_path / "x.csv"
-    if fault == "disk full":
-        monkeypatch.setattr(cli, "open", _DiskFullAfterTenCharacters, raising=False)
+    monkeypatch.setattr(cli, "open", _DiskFullAfterTenCharacters, raising=False)
     code, out, err = run_cli(
         ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
          "--out-json", str(json_path), "--out-csv", str(csv_path)],
@@ -728,34 +752,49 @@ def test_write_error_after_the_runs_leaves_no_output_file(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []  # neither output file remains
 
 
-def test_failed_write_removes_every_output_it_opened(tmp_path, capsys):
-    """The JSON is written in full, then the CSV cannot be opened: exit 1,
-    one error line, and the JSON is removed too."""
-    json_path, csv_path = tmp_path / "ok.json", tmp_path / ("x" * 300)
+def test_failed_write_removes_every_output_it_opened(tmp_path, monkeypatch, capsys):
+    """The JSON is written in full, then the disk fills during the CSV's
+    write: exit 1, one error line, and the JSON is removed too."""
+    json_path, csv_path = tmp_path / "ok.json", tmp_path / "x.csv"
+    written = []
+    real_open = open
+
+    class DiskFullOnTheCsv(_DiskFullAfterTenCharacters):
+        def write(self, text):
+            written.append(json.loads(json_path.read_text(encoding="utf-8")))  # whole, closed
+            super().write(text)
+
+    def open_output(path, *args, **kwargs):
+        return (DiskFullOnTheCsv if str(path) == str(csv_path) else real_open)(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_output, raising=False)
     code, out, err = run_cli(
         ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
          "--out-json", str(json_path), "--out-csv", str(csv_path)],
         capsys,
     )
     assert code == 1 and out.startswith("seed 1: ")
-    assert err.startswith(f"error: cannot write {tmp_path}") and err.count("\n") == 1
-    assert err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert err == f"error: cannot write {csv_path}: {os.strerror(errno.ENOSPC)}\n"
+    assert [[record["seed"] for record in records] for records in written] == [[1]]
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_write_removes_the_file_a_symlink_names_and_keeps_the_link(tmp_path, capsys):
-    """The JSON is written through a symlink, then the CSV cannot be opened:
-    exit 1, the file the JSON was written into is removed, the link is not."""
+def test_failed_open_keeps_a_symlink_and_the_file_it_names(tmp_path, monkeypatch, capsys):
+    """The JSON names a symlink to a file that exists, then the CSV cannot be
+    opened: exit 1 before any seed runs, and the link and its file remain,
+    the file truncated as the shell's > truncates it."""
     link, target = tmp_path / "link.json", tmp_path / "target.txt"
     target.write_text("target\n")
     link.symlink_to(target.name)
+    monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
     code, _, err = run_cli(
         ["--function", "sphere", "--dim", "2", "--iterations", "2", "--seed", "1",
          "--out-json", str(link), "--out-csv", str(tmp_path / ("x" * 300))],
         capsys,
     )
     assert code == 1 and err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
-    assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
+    assert sorted(tmp_path.iterdir()) == [link, target]
+    assert os.readlink(link) == target.name and target.read_text() == ""
 
 
 def test_failed_write_never_unlinks_a_device(tmp_path, monkeypatch, capsys):
@@ -826,12 +865,6 @@ def test_output_may_not_overwrite_an_input(tmp_path, monkeypatch, capsys, source
     assert sorted(tmp_path.iterdir()) == sorted([box, cfg, *links])
 
 
-def test_unwritable_output_is_judged_by_parse_config(tmp_path):
-    path = tmp_path / "missing" / "x.json"
-    with pytest.raises(OSError, match=f"^cannot write {re.escape(str(path))}: "):
-        parse_config(["--function", "sphere", "--dim", "2", "--out-json", str(path)])
-
-
 def test_run_that_aborts_is_one_line_and_writes_no_output(tmp_path, capsys):
     json_path = tmp_path / "J"
     code, out, err = run_cli(
@@ -843,6 +876,35 @@ def test_run_that_aborts_is_one_line_and_writes_no_output(tmp_path, capsys):
     assert err == ("error: run aborted after 0 completed iteration(s): "
                    "objective is non-finite at every initial point\n")
     assert not json_path.exists()
+
+
+def test_run_that_aborts_keeps_an_output_that_existed_and_removes_a_new_one(tmp_path, capsys):
+    """Both outputs are opened before the first seed; the one that existed
+    stays, truncated, and the one the run created is removed."""
+    json_path, csv_path = tmp_path / "old.json", tmp_path / "new.csv"
+    json_path.write_text("old\n")
+    code, out, err = run_cli(
+        ["--function", "sqrt(-1-x1*x1)", "--dim", "1", "--bounds", "-1,1",
+         "--out-json", str(json_path), "--out-csv", str(csv_path)],
+        capsys,
+    )
+    assert (code, out) == (1, "") and err.startswith("error: run aborted ")
+    assert list(tmp_path.iterdir()) == [json_path] and json_path.read_text() == ""
+
+
+def test_interrupted_run_removes_the_outputs_it_created(tmp_path, monkeypatch, capsys):
+    json_path, csv_path = tmp_path / "x.json", tmp_path / "x.csv"
+
+    def interrupt(*args, **kwargs):
+        assert json_path.exists() and csv_path.exists(), "opened before the first seed"
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "sta_run", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--function", "sphere", "--dim", "2",
+              "--out-json", str(json_path), "--out-csv", str(csv_path)])
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_csv_uses_lf_and_full_precision(tmp_path, capsys):

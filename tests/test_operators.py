@@ -288,11 +288,25 @@ def test_rotate_and_translate_move_a_state_past_1e154():
         assert np.linalg.norm((batch - origin) / step, axis=1).max() <= 1.0
 
 
-def test_translate_along_an_overflowing_difference_keeps_its_finite_axes():
-    """new_best - old_best is -inf on axis 0: the norm is inf, so that axis
-    reads nan and the finite axis does not move."""
-    batch = op_translate([1.7e308, 0.0], [-1.7e308, 1.0], 5, 1.0, rng(8))
-    assert np.isnan(batch[:, 0]).all() and (batch[:, 1] == 1.0).all()
+@pytest.mark.parametrize("old,new,beta", [
+    ([1.7e308, 0.0], [-1.7e308, 1.0], 1.0),  # a step of at most 1 cannot move -1.7e308
+    ([-1.7e308, 0.0], [1e308, 1.0], 1e307),
+])
+def test_translate_along_an_overflowing_difference_stays_on_its_ray(old, new, beta):
+    """new - old overflows on axis 0; the halves' difference gives the ray,
+    [-1, 2.9e-309] for the first pair, so every row is finite, lies on it and
+    steps at most beta."""
+    old, new = np.array(old), np.array(new)
+    batch = op_translate(old, new, 30, beta, rng(8))
+    assert np.isfinite(batch).all()
+    half = new / 2 - old / 2
+    direction = half / np.linalg.norm(half / 1e308) / 1e308
+    offsets = (batch - new) / beta
+    along = offsets @ direction
+    assert (along >= 0.0).all() and np.abs(offsets - np.outer(along, direction)).max() < 1e-12
+    assert np.linalg.norm(offsets, axis=1).max() <= 1.0
+    if beta > 1.0:
+        assert (batch[:, 0] != new[0]).all(), "every row moves"
 
 
 # -------------------------------------------------------------- expansion

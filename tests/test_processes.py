@@ -88,6 +88,22 @@ def test_process_error_is_one_short_line(tmp_path, files, args, code):
     assert {path: path.read_bytes() for path in given} == given
 
 
+def test_failed_run_keeps_the_file_its_stdout_was_redirected_into(tmp_path):
+    """``--out-json /dev/stdout`` names the file the shell redirected stdout
+    into; a run that then fails did not create it, so it stays.  Run only as
+    a process: in this one, fd 1 is the test session's own."""
+    with open(tmp_path / "log.txt", "wb") as log:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "stapy", "--function", "sphere", "--dim", "2",
+             "--iterations", "2", "--out-json", "/dev/stdout", "--out-csv", "x" * 300],
+            cwd=tmp_path, stdout=log, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=300,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: cannot write ") and proc.stderr.count(b"\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["log.txt"]
+
+
 BLAS_THREADS = """\
 import hashlib
 import stapy
