@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from contextlib import ExitStack, contextmanager, suppress
@@ -92,31 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     def error(message: str) -> NoReturn:  # argparse's own: main writes it, with no usage block
         raise CliError(message)
     parser.error = error
+    # A token that argparse's option matching does not claim is a flag's value only if it
+    # looks like a negative number; widen that to every token, as in "--function -x1^2".
+    # Set last: a flag added after it would match it and turn the rule off.
+    parser._negative_number_matcher = re.compile("-")
     return parser
-
-
-def _normalize_argv(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
-    # argparse reads a token that starts with "-" as an option unless it is a
-    # plain negative number, so "--bounds -5.12,5.12", "--function -x1^2" or
-    # "--target-fitness -1e-3" would lack a value; join such a value to its
-    # flag as --flag=value unless it is an option itself.
-    options = parser._option_string_actions
-    out: list[str] = []
-    for arg in argv:
-        takes_value = out and out[-1] in options and options[out[-1]].nargs != 0
-        if takes_value and arg.startswith("-") and arg.split("=", 1)[0] not in options:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 def _read(path: str, what: str) -> str:  # UTF-8, with or without a byte order mark
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
-    except OSError as err:  # its strerror omits the path; the caller names a decode error
-        raise CliError(f"cannot read {what} {path}: {err.strerror}") from err
+    except (OSError, UnicodeDecodeError) as err:  # an OSError's strerror omits the path
+        reason = err.strerror if isinstance(err, OSError) else err
+        raise CliError(f"cannot read {what} {path}: {reason}") from err
 
 
 def _load_config_file(path: str) -> dict:
@@ -136,10 +126,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _read_bounds_file(path: str) -> list[str]:
-    try:
-        lines = [line.strip() for line in _read(path, "bounds file").split("\n")]
-    except UnicodeDecodeError as err:
-        raise CliError(f"cannot read bounds file {path}: {err}") from err
+    lines = [line.strip() for line in _read(path, "bounds file").split("\n")]
     return [line for line in lines if line and not line.startswith("#")]
 
 
@@ -187,21 +174,26 @@ def _file_key(path: str):  # an existing file by device and inode, which a hard 
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Resolve flags, config file, and defaults into a validated RunConfig.
 
-    A config-file value is read exactly like the flag it stands for: it
-    becomes that flag's default as a string (its JSON text unless it is a
-    string), which argparse types with the flag's ``type`` when the flag is
-    not given.  A ``seeds`` list becomes ``--seed`` arguments.  No path may
-    hold a NUL byte, judged for an input before any file is read, and no
-    output may name an input, hard links included; ``run_command`` opens the
-    outputs.
+    argparse gets the tokens unchanged, and ``--`` is never a flag's value,
+    not even as ``--flag=--``.  A config-file value is read exactly like the
+    flag it stands for: it becomes that flag's default as a string (its JSON
+    text unless it is a string), which argparse types with the flag's
+    ``type`` when the flag is not given.  A ``seeds`` list becomes ``--seed``
+    arguments.  No path may hold a NUL byte, judged for an input before any
+    file is read, and no output may name an input, hard links included;
+    ``run_command`` opens the outputs.
     Raises CliError for a configuration problem, argparse's included; only
     ``--help`` exits.
     """
     parser = build_parser()
-    argv = _normalize_argv(parser, sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, extra = parser.parse_known_args(argv)
     if extra:  # argparse's own message quotes every extra token in full
         parser.error(f"{len(extra)} unrecognized argument(s), the first {_quoted(extra[0])}")
+    for action in parser._actions:  # --flag=--: argparse stores "--", or [] before 3.13 (in --seed's list)
+        value = getattr(args, action.dest, None)
+        if value in ("--", []) or isinstance(value, list) and [] in value:
+            parser.error(f"argument {action.option_strings[0]}: expected one argument")
     _without_nul({"--config": args.config, "--bounds-file": args.bounds_file})
     file_cfg = _load_config_file(args.config) if args.config is not None else {}
     if file_cfg:

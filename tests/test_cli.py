@@ -193,16 +193,19 @@ def test_bounds_file_that_is_not_utf8_is_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b'{"function": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+    "content,message",
+    [
+        (b'{"function": "\xff"}', "cannot read config file"),
+        (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON"),
+    ],
     ids=["not-utf8", "nested-too-deeply"],
 )
-def test_config_file_that_cannot_be_decoded_is_one_line(tmp_path, capsys, content):
+def test_config_file_that_cannot_be_decoded_is_one_line(tmp_path, capsys, content, message):
     cfg = tmp_path / "run.json"
     cfg.write_bytes(content)
     code, out, err = run_cli(["--config", str(cfg)], capsys)
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert "is not valid JSON" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("source", ["config", "bounds-file"])
@@ -402,17 +405,49 @@ def test_config_file_null_is_absent_and_flags_win(tmp_path):
         (["--function", "-x1^2+x2^2", "--bounds", "-1,1"], lambda c: c.function, "-x1^2+x2^2"),
         (["--function", "sphere", "--target-fitness", "-1e-3"], lambda c: c.target_fitness, -1e-3),
         (["--function", "sphere", "--bounds", "-1,1"], bounds_of, [(-1.0, 1.0)] * 2),
+        (["--function", "sphere", "--out-json", "-o.json"], lambda c: c.out_json, "-o.json"),
+        (["--function", "sphere", "--bounds", "-1 1"], bounds_of, [(-1.0, 1.0)] * 2),
     ],
-    ids=["function", "target-fitness", "bounds"],
+    ids=["function", "target-fitness", "bounds", "out-json", "bounds-with-space"],
 )
 def test_flag_value_may_start_with_minus(args, read, expected):
     config = parse_config(args + ["--dim", "2"])
     assert read(config) == expected
 
 
-def test_flag_followed_by_an_option_lacks_its_value():
-    with pytest.raises(CliError, match="--function: expected one argument"):
-        parse_config(["--function", "--dim", "2"])
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["--function", "--dim", "2"], "--function"),
+        (["--function", "--functio"], "--function"),  # a unique prefix of a flag
+        (["--function", "--fun=3"], "--function"),
+        (["--function", "sphere", "--out-json", "-hello.json"], "--out-json"),  # -h ello.json
+        (["--function", "--", "--dim", "2"], "--function"),
+    ],
+    ids=["flag", "prefix", "prefix-with-value", "h-with-letters", "double-dash"],
+)
+def test_flag_followed_by_an_option_lacks_its_value(args, flag):
+    with pytest.raises(CliError, match=f"{flag}: expected one argument"):
+        parse_config(args)
+
+
+VALUE_FLAGS = [flag for action in build_parser()._actions if action.nargs != 0
+               for flag in action.option_strings]
+
+
+@pytest.mark.parametrize("form", ["separate", "joined"])
+@pytest.mark.parametrize("flag", VALUE_FLAGS)
+def test_double_dash_is_never_a_flags_value(tmp_path, monkeypatch, capsys, flag, form):
+    """``--flag --`` and ``--flag=--`` are one error line that names the flag, exit 2,
+    with nothing on stdout and no file created."""
+    monkeypatch.chdir(tmp_path)
+    args = ["--function", "sphere", "--dim", "2", "--iterations", "2"]
+    args += [flag, "--"] if form == "separate" else [f"{flag}=--"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(re.escape(flag) + r"\b", err), "the message names the flag"
+    assert list(tmp_path.iterdir()) == []
 
 
 ARGPARSE_ERRORS = [
