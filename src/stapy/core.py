@@ -213,8 +213,8 @@ class StaParams:
 class RandomSource:
     """Seedable stream of the draw kinds the samplers consume.
 
-    Backed by numpy's PCG64 generator; rotation entries are the eight int8 bytes
-    of each raw output, low byte first.  Identical seeds and identical call
+    Backed by numpy's PCG64 generator; a rotation draw reads 16 int8 bytes from
+    two raw outputs, low byte first.  Identical seeds and identical call
     sequences reproduce identical streams within this implementation;
     bit-compatibility with other generators is not a goal.  Instances are
     single-owner mutable state: share between threads only with external
@@ -243,7 +243,7 @@ class RandomSource:
         return self._gen.integers(n, size=size)
 
     def _int8(self, rows: int, width: int) -> Array:  # eight per raw output, low byte first
-        words = self._gen.bit_generator.random_raw(rows * -(-width // 8))  # per row, so chunks agree
+        words = self._gen.bit_generator.random_raw(rows * -(-width // 8))  # whole outputs per row
         return words.astype("<u8", copy=False).view(np.int8).reshape(rows, -1)[:, :width]
 
     def __repr__(self):

@@ -32,11 +32,6 @@ from .core import EPS, Array, RandomSource, _count, _instance, _quietly, _real, 
 
 __all__ = ["op_rotate", "op_translate", "op_expand", "op_axes"]
 
-# Bytes of float32 rotation entries drawn at once: the bound on the kernel's memory, and one whole
-# matrix up to n = 362 (see ROADMAP, "Not worth pursuing").
-_CHUNK_BYTES = 512 * 1024
-
-
 def _unit(v: Array) -> Array:
     # v / (||v|| + eps). The norm has np.linalg.norm's bits while v . v is finite; past about
     # 1.3e154, v . v overflows, and v is first divided by its largest |v_i|, so its direction
@@ -54,40 +49,50 @@ def _unit(v: Array) -> Array:
 def op_rotate(best, se: int, alpha: float, rng: RandomSource) -> Array:
     """Sample a hypersphere of radius at most ``alpha`` around ``best``.
 
-    Each row is ``best + alpha / n * R @ u`` with ``u = best / (||best|| +
-    eps)`` and ``R = (K + 1/2) * 2**-7`` redrawn for every row, ``K`` an n-by-n
-    matrix of independent uniform int8s: ``R`` is uniform on the 256-point grid
-    of odd multiples of 1/256 in [-255/256, 255/256], with mean 0, and ``||R @
-    u|| <= n * 255/256`` (Frobenius bound), so the step norm never exceeds
-    ``alpha``: the 1/256 slack is far above float32 rounding.  ``K @ u`` is a
-    float32 product, which ``|u_i| <= 1`` keeps finite on any box; the scaling
-    and the sum with ``best`` are float64.
+    Each row is ``best + alpha / n * S``, its n components independent draws of
+    one of ``R @ u``: ``u = best / (||best|| + eps)``, ``R`` uniform on the 256 odd
+    multiples of 1/256 in [-255/256, 255/256].  A draw is ``2**-7 * (K @ w +
+    sum(w) / 2)``, 16 int8s ``K`` on 16 weights ``w``: up to n = 16, ``u`` padded
+    with zeros, so the distribution is exact; past it, the 8 largest ``|u_j|``,
+    then the rest's norm spread evenly over 8, which keeps the mean 0 and the
+    variance.  A component's Kolmogorov distance to the paper's (``R`` continuous
+    on [-1, 1]) measured at most 0.0061 from n = 2 to 100 (2e5 samples; noise
+    floor about 0.005).  ``w`` is rounded to 2**-37 times the power of two above
+    ``max |w_l|``, so the sum is exact whatever the BLAS's order or thread count.
+    ``|S_i| <= 255/256 * sum |w_l| <= sqrt(n)``, so the step norm is at most ``alpha``.
 
-    Draws: per row, ``ceil(n * n / 8)`` raw 64-bit outputs read as int8 bytes,
-    low first (an n * n that is not a multiple of 8 drops the last 1-7 bytes),
-    in chunks of about 512 KiB of float32: whole matrices, or once one matrix is
-    larger, blocks of a multiple of eight of its rows (at least eight), so
-    memory stays about one chunk.
+    Draws: ``2 * se * n`` raw 64-bit outputs, two per component, read as its 16
+    int8 bytes, low first.
     """
     rng = _instance(rng, RandomSource, "rng")
     return _quietly(_rotate, _vector(best, "best"), _count(se, "se"), _real(alpha, "alpha", 0.0), rng)
 
 
+def _weights(u: Array) -> Array:
+    # 16 weights: u padded with zeros, or its 8 largest |u_j|, then 8 times ||rest|| / sqrt(8).
+    w = np.zeros(16)
+    if u.size <= 16:
+        w[: u.size] = u
+    else:
+        a = np.abs(u)
+        top = np.argpartition(a, -8)[-8:]
+        a[top] = 0.0
+        w[:8], w[8:] = u[top], math.sqrt(a.dot(a) / 8)
+    return w
+
+
 def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
-    u = _unit(best).astype(np.float32)
-    rows = _CHUNK_BYTES // (4 * n)  # matrix rows per chunk
-    k = min(se, max(1, rows // n))
-    b = n if rows >= n else max(8, rows - rows % 8)  # past one matrix, blocks of whole raw outputs
-    steps = np.empty((se, n), np.float32)
-    for s in range(0, se, k):
-        m = min(k, se - s)
-        for r in range(0, n, b):
-            h = min(b, n - r)
-            np.matmul(rng._int8(m, h * n).reshape(m, h, n), u, out=steps[s : s + m, r : r + h])
-    # (K + 1/2) @ u == K @ u + sum(u) / 2, brought to float64 before the scaling. fsum is
-    # exact whatever numpy's summation order, and at n = 10 cheaper than u.sum.
-    return best + alpha / n * 2.0**-7 * (steps.astype(float) + 0.5 * math.fsum(u.tolist()))
+    w = _weights(_unit(best))
+    # Round w, ties to even, to multiples of q = 2**(e - 37), where max|w_l| < 2**e, by adding and
+    # removing 1.5 * 2**(e + 15), whose ulp is q. Each K_l * w_l and partial sum is exact: < 2**53 q.
+    c = math.ldexp(1.5, math.frexp(np.abs(w).max())[1] + 15)
+    w += c
+    w -= c
+    s = np.dot(rng._int8(se * n, 16), w)
+    s += 0.5 * math.fsum(w.tolist())
+    s *= alpha / n * 2.0**-7
+    return best + s.reshape(se, n)
 
 
 def op_translate(old_best, new_best, se: int, beta: float, rng: RandomSource) -> Array:

@@ -105,28 +105,117 @@ def signed_bytes(seed, count):
     return [(w >> shift & 0xFF) - (w >> shift & 0x80) * 2 for w in words for shift in range(0, 64, 8)]
 
 
-@pytest.mark.parametrize("se", [1, 7, 30, 31])
-@pytest.mark.parametrize("n", [1, 10, 100, 101, 300])
-def test_rotate_chunked_draw_equals_whole_block_bits(n, se):
-    """Chunked kernel == one whole block of (se, n, n) int8 entries, bit for bit.
+def reference_rotate(best, se, alpha, gen):
+    """``op_rotate`` from its docstring, with the sum in integers: each component
+    is ``2**-7 * (K @ w + sum(w) / 2)``, K the 16 int8 bytes of two raw words,
+    low first, and w the weights rounded to 2**-37 times the power of two above
+    their largest magnitude."""
+    n = best.size
+    u = best / (np.linalg.norm(best) + EPS)
+    if n <= 16:
+        w = np.concatenate([u, np.zeros(16 - n)])
+    else:
+        a = np.abs(u)
+        top = np.argpartition(a, -8)[-8:]
+        a[top] = 0.0
+        w = np.concatenate([u[top], np.full(8, math.sqrt(a.dot(a) / 8))])
+    e = math.frexp(np.abs(w).max())[1]
+    m = np.rint(np.ldexp(w, 37 - e)).astype(np.int64)  # w in quanta
+    k = gen.bit_generator.random_raw(2 * se * n).astype("<u8").view(np.int8).reshape(se * n, 16)
+    halves = k.astype(np.int64) @ (2 * m) + m.sum()  # K @ w + sum(w) / 2, in half quanta
+    assert np.abs(halves).max() < 2**53
+    return best + alpha / n * 2.0**-7 * np.ldexp(halves.astype(float), e - 38).reshape(se, n)
 
-    n = 100 and n = 101 split se = 30 and 31 into chunks of 13 and 12 matrices,
-    with a partial last one; n = 1, 10 and 101 have an n * n that is not a
-    multiple of 8, so each matrix drops its last 7, 4 and 7 bytes.  n = 300
-    draws one matrix per chunk.
-    """
+
+@pytest.mark.parametrize("se", [1, 7, 30, 31])
+@pytest.mark.parametrize("n", [1, 2, 10, 16, 17, 100, 101])
+def test_rotate_equals_its_reference_draw_bit_for_bit(n, se):
+    """n = 16 is the last n whose weights are u itself, and n = 17 the first
+    past it; n = 1 pads u with 15 zeros."""
     best = np.random.default_rng(n).uniform(-5.0, 5.0, n)
     got_rng, ref_gen = rng(se), np.random.Generator(np.random.PCG64(se))
     got = op_rotate(best, se, 0.5, got_rng)
-    h = -(-n * n // 8)
-    k = ref_gen.bit_generator.random_raw(se * h).astype("<u8").view(np.int8)
-    k = k.reshape(se, 8 * h)[:, : n * n].astype(np.float32).reshape(se, n, n)
-    u = (best / (np.linalg.norm(best) + EPS)).astype(np.float32)
-    want = best + 0.5 / n * 2.0**-7 * ((k @ u).astype(float) + 0.5 * math.fsum(u.tolist()))
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, reference_rotate(best, se, 0.5, ref_gen))
     assert np.array_equal(got_rng.uniform(-1.0, 1.0, 5), ref_gen.uniform(-1.0, 1.0, 5)), (
         "stream position after the call"
     )
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_rotate_weights_are_u_itself_up_to_n_16(n):
+    u = operators._unit(np.random.default_rng(n).standard_normal(n))
+    w = operators._weights(u)
+    assert np.array_equal(w, np.concatenate([u, np.zeros(16 - n)]))
+
+
+@pytest.mark.parametrize("n", [17, 100, 1001])
+def test_rotate_weights_past_n_16_keep_the_top_eight_and_the_rests_norm(n):
+    """The 8 largest |u_j| as they are, then the rest's norm over sqrt(8) eight
+    times: sum(w**2) is sum(u**2), so a component keeps its variance."""
+    u = operators._unit(np.random.default_rng(n).standard_normal(n))
+    w = operators._weights(u)
+    order = np.argsort(-np.abs(u))
+    assert sorted(w[:8].tolist()) == sorted(u[order[:8]].tolist())
+    rest = np.linalg.norm(u[order[8:]]) / math.sqrt(8)
+    assert np.allclose(w[8:], rest, rtol=1e-14, atol=0.0)
+    assert math.isclose(w.dot(w), u.dot(u), rel_tol=1e-14)
+
+
+def ks_distance(a, b):
+    """The two-sample Kolmogorov distance: the largest gap between the ECDFs."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, x, "right") / a.size - np.searchsorted(b, x, "right") / b.size).max()
+
+
+def incumbents(n):
+    """Directions with one coordinate, even ones, random ones, ones shaped like a
+    workload shift (magnitudes 0.2 to 0.8 of the box's half-width, random
+    signs), and past n = 16 one whose rest is a single coordinate as large as
+    the top eight."""
+    g = np.random.default_rng(n)
+    out = {"axis": np.eye(n)[0], "even": np.ones(n), "random": g.standard_normal(n),
+           "shift": g.choice((-1.0, 1.0), n) * g.uniform(0.2, 0.8, n)}
+    if n > 16:
+        out["rest-one"] = np.concatenate([np.ones(9), np.full(n - 9, 1e-3)])
+    return [pytest.param(n, v, id=f"{n}-{name}") for name, v in out.items()]
+
+
+@pytest.mark.parametrize("n,v", [p for n in (2, 10, 17, 100) for p in incumbents(n)])
+def test_rotate_component_is_close_in_distribution_to_the_papers(n, v):
+    """2e5 components of op_rotate against 2e5 of the paper's R @ u, R uniform on
+    [-1, 1]: every component of every row is an independent draw of S, so one
+    call gives them all.  The noise floor of the distance is about 0.005; the
+    256-point grid adds at most 1/512."""
+    samples = 200_000
+    u = v / np.linalg.norm(v)
+    got = (op_rotate(u, -(-samples // n), n, rng(n)) - u).ravel()[:samples]  # alpha = n: S itself
+    g = np.random.default_rng(n + 1)
+    want = np.concatenate([g.uniform(-1.0, 1.0, (10_000, n)) @ u for _ in range(samples // 10_000)])
+    assert ks_distance(got, want) < 0.015
+
+
+def test_rotate_moves_a_tiny_state():
+    """u = best / (||best|| + eps) is about 4.5e-85 here; every row moves, and
+    the step stays at most alpha."""
+    best = 1e-100 * np.ones(5)
+    batch = op_rotate(best, 30, 1.0, rng())
+    assert (batch != best).any(axis=1).all(), "every row moves"
+    assert np.linalg.norm(batch - best, axis=1).max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [100, 1000, 3000])
+def test_rotate_memory_is_linear_in_se_n(n):
+    """The peak is about 19 times the (se, n) batch: the int8 draw (2 bytes per
+    batch byte), its float64 cast (16) and the sum (1)."""
+    best, se = np.linspace(-1.0, 1.0, n), 30
+    tracemalloc.start()
+    try:
+        op_rotate(best, se, 1.0, rng())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 8 * se * n, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_rotation_entries_are_the_signed_bytes_of_raw_words_low_first():
@@ -152,90 +241,6 @@ def test_rotation_entries_scale_onto_a_symmetric_grid_of_256_values():
     assert np.unique(r).size == 256
     assert abs(r.mean()) < 3e-3
     assert abs(r.var() - 1.0 / 3.0) < 3e-3
-
-
-def test_rotate_peak_memory_is_one_chunk_not_the_block():
-    """At n = 2000 the block of 8 matrices is 256 MB; one matrix is 32 MB."""
-    best = np.linspace(-1.0, 1.0, 2000)
-    tracemalloc.start()
-    try:
-        op_rotate(best, 8, 1.0, rng())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_rotate_peak_memory_stays_under_two_chunks_past_one_matrix():
-    """At n = 1000 one matrix is 8 MB; the kernel draws it in blocks of rows."""
-    best, source = np.linspace(-1.0, 1.0, 1000), rng()
-    tracemalloc.start()
-    try:
-        operators._rotate(best, 2, 1.0, source)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * operators._CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
-
-
-def recorded_blocks(source, monkeypatch):
-    """The list that each later ``source._int8`` draw is appended to."""
-    blocks, draw = [], source._int8
-
-    def recorded(rows, width):
-        blocks.append(draw(rows, width))
-        return blocks[-1]
-
-    monkeypatch.setattr(source, "_int8", recorded)
-    return blocks
-
-
-@pytest.mark.parametrize("n", [300, 362, 363])
-def test_rotate_draws_whole_matrices_up_to_n_362(n, monkeypatch):
-    """One matrix of float32 entries fits in a chunk up to n = 362; past it the
-    draw comes in blocks of a multiple of eight rows and a remainder."""
-    source = rng(3)
-    blocks = recorded_blocks(source, monkeypatch)
-    operators._rotate(np.ones(n), 2, 1.0, source)
-    heights = [b.shape[1] // n for b in blocks]
-    assert [b.shape[0] for b in blocks] == [1] * len(blocks)
-    if n <= 362:
-        assert heights == [n, n]
-    else:
-        assert heights == [360, 3, 360, 3]
-
-
-@pytest.mark.parametrize("n", [363, 1000, 1001])
-def test_rotate_in_row_blocks_equals_the_whole_matrix_draw(n, monkeypatch):
-    """Blocks of rows draw the whole matrix's int8 entries, bit for bit, and
-    leave the stream where it leaves it.  The products agree within the bound of
-    reordering each row's float32 sum, 4 * sqrt(n) * eps32 * alpha, plus two
-    ulps of each entry: a BLAS may split the whole matrix's product over
-    threads.  n = 363 and n = 1001 have an n * n that is not a multiple of 8, so
-    each matrix drops seven bytes."""
-    best, alpha = RandomSource(n).uniform(-1.0, 1.0, n), 0.5
-    source = rng(3)
-    blocks = recorded_blocks(source, monkeypatch)
-    got = operators._rotate(best, 2, alpha, source)
-    whole = rng(3)
-    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), whole._int8(2, n * n).ravel())
-    assert source.normal() == whole.normal(), "stream position after the call"
-    monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * 4 * n * n)
-    want = operators._rotate(best, 2, alpha, rng(3))
-    eps32, eps = np.finfo(np.float32).eps, np.finfo(float).eps
-    assert np.all(np.abs(got - want) <= 4 * np.sqrt(n) * eps32 * alpha + 2 * eps * np.abs(want))
-
-
-@pytest.mark.parametrize("chunk_rows", [1, 4, 7])
-def test_rotate_draws_blocks_of_eight_rows_when_a_chunk_holds_fewer(chunk_rows, monkeypatch):
-    """Blocks of eight rows span whole raw words at an odd n, so they still draw
-    the whole matrix's entries; smaller blocks would split a word between two."""
-    n, source = 101, rng(3)
-    blocks = recorded_blocks(source, monkeypatch)
-    monkeypatch.setattr(operators, "_CHUNK_BYTES", chunk_rows * 4 * n)
-    operators._rotate(np.ones(n), 1, 1.0, source)
-    assert [b.shape for b in blocks] == [(1, 8 * n)] * 12 + [(1, 5 * n)]
-    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), rng(3)._int8(1, n * n).ravel())
 
 
 # ------------------------------------------------------------- translation

@@ -45,15 +45,24 @@ def reference_run(f, batch, lower, upper, seed, target=None):
             if kind == "expansion":
                 rows = x + 1.0 * gen.standard_normal((SE, n)) * x
             elif kind == "rotation":
-                # R = (K + 1/2) * 2**-7, each matrix's int8 entries K read as
-                # the bytes of ceil(n*n / 8) raw 64-bit outputs, low first;
-                # K @ u in float32 on u = x / (||x|| + eps).
-                h = -(-n * n // 8)
-                k = gen.bit_generator.random_raw(SE * h).astype("<u8").view(np.int8)
-                k = k.reshape(SE, 8 * h)[:, : n * n].astype(np.float32).reshape(SE, n, n)
-                u = (x / (np.linalg.norm(x) + EPS)).astype(np.float32)
-                ku = (k @ u).astype(float) + 0.5 * math.fsum(u.tolist())
-                rows = x + alpha / n * 2.0**-7 * ku
+                # Each component is 2**-7 * (K @ w + sum(w) / 2), K the 16 int8
+                # bytes of two raw 64-bit outputs, low first. w is u = x / (||x||
+                # + eps) padded with zeros up to n = 16, and past it the 8
+                # largest |u_j| and then the rest's norm over sqrt(8), 8 times;
+                # it is rounded to 2**-37 times the power of two above max |w|.
+                u = x / (np.linalg.norm(x) + EPS)
+                if n <= 16:
+                    w = np.concatenate([u, np.zeros(16 - n)])
+                else:
+                    a = np.abs(u)
+                    top = np.argpartition(a, -8)[-8:]
+                    a[top] = 0.0
+                    w = np.concatenate([u[top], np.full(8, math.sqrt(a.dot(a) / 8))])
+                e = math.frexp(np.abs(w).max())[1]
+                w = np.ldexp(np.rint(np.ldexp(w, 37 - e)), e - 37)
+                k = gen.bit_generator.random_raw(2 * SE * n).astype("<u8").view(np.int8)
+                s = k.reshape(SE * n, 16).astype(float) @ w + 0.5 * w.sum()
+                rows = x + alpha / n * 2.0**-7 * s.reshape(SE, n)
             else:
                 axes = gen.integers(1, n + 1, size=SE) - 1
                 rows = np.repeat(x[None, :], SE, axis=0)
@@ -91,8 +100,8 @@ def test_sta_run_equals_reference_bit_for_bit(name):
     spec = get_benchmark(name)
     dims = (1, 2, 10, 100) if spec.fixed_dim is None else (spec.fixed_dim,)
     for n in dims:
-        # Five seeds, but one at n = 100, whose rotation draw costs about 0.3 s
-        # a run, so that the whole file runs in about 5 s.
+        # Five seeds, but one at n = 100, where the run and its reference take
+        # about 0.2 s, so that the whole file runs in about 5 s.
         for seed in range(5 if n <= 10 else 1):
             assert_same_run(spec.objective, True, spec.default_box(n), seed)
     # The scalar form (one Python call per row) at one dimension, one seed.
