@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bounds",
         help="uniform per-coordinate bounds as LO,HI (e.g. --bounds -5.12,5.12)",
     )
-    parser.add_argument(
-        "--bounds-file",
-        help="path to a text file with one 'LO,HI' (or 'LO HI') line per coordinate",
-    )
     parser.add_argument("--config", help="JSON config file; CLI flags override it")
     parser.add_argument("--iterations", type=int, help="outer-loop budget (default 1000)")
     parser.add_argument("--se", type=int, help="samples per operator application (default 30)")
@@ -100,19 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str, what: str) -> str:  # UTF-8, with or without a byte order mark
+def _load_config_file(path: str) -> dict:
+    # Reads UTF-8, with or without a byte order mark, and returns the file's
+    # settings without its null values, which count as absent.
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+            data = json.load(handle)
     except (OSError, UnicodeDecodeError) as err:  # an OSError's strerror omits the path
         reason = err.strerror if isinstance(err, OSError) else err
-        raise CliError(f"cannot read {what} {path}: {reason}") from err
-
-
-def _load_config_file(path: str) -> dict:
-    # Returns the file's settings without its null values, which count as absent.
-    try:
-        data = json.loads(_read(path, "config file"))
+        raise CliError(f"cannot read config file {path}: {reason}") from err
     except (ValueError, RecursionError) as err:
         raise CliError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
@@ -125,17 +117,14 @@ def _load_config_file(path: str) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
-def _read_bounds_file(path: str) -> list[str]:
-    lines = [line.strip() for line in _read(path, "bounds file").split("\n")]
-    return [line for line in lines if line and not line.startswith("#")]
-
-
 def _config_rows(raw) -> Union[str, list[str]]:
-    # Accept [lo, hi] (uniform, one row for every coordinate) or [[lo, hi], ...].
-    if isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw):
+    # --bounds's "LO,HI" text or [lo, hi], one row for every coordinate; or [[lo, hi], ...].
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, list) and len(raw) == 2 and not any(isinstance(v, list) for v in raw):
         return "{},{}".format(*raw)
     if not isinstance(raw, list) or not all(isinstance(r, list) and len(r) == 2 for r in raw):
-        raise CliError("malformed bounds in config file: expected [lo, hi] or [[lo, hi], ...]")
+        raise CliError('malformed bounds in config file: expected "LO,HI", [lo, hi] or [[lo, hi], ...]')
     return [f"{lo},{hi}" for lo, hi in raw]
 
 
@@ -179,9 +168,11 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     flag it stands for: it becomes that flag's default as a string (its JSON
     text unless it is a string), which argparse types with the flag's
     ``type`` when the flag is not given.  A ``seeds`` list becomes ``--seed``
-    arguments.  No path may hold a NUL byte, judged for an input before any
-    file is read, and no output may name an input, hard links included;
-    ``run_command`` opens the outputs.
+    arguments, and ``bounds`` is ``--bounds``'s text, a ``[lo, hi]`` pair
+    for every coordinate, or one ``[lo, hi]`` row per coordinate.  No path
+    may hold a NUL byte, judged for ``--config`` before it is read, and no
+    output may name the config file, hard links included; ``run_command``
+    opens the outputs.
     Raises CliError for a configuration problem, argparse's included; only
     ``--help`` exits.
     """
@@ -194,7 +185,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         value = getattr(args, action.dest, None)
         if value in ("--", []) or isinstance(value, list) and [] in value:
             parser.error(f"argument {action.option_strings[0]}: expected one argument")
-    _without_nul({"--config": args.config, "--bounds-file": args.bounds_file})
+    _without_nul({"--config": args.config})
     file_cfg = _load_config_file(args.config) if args.config is not None else {}
     if file_cfg:
         parser.set_defaults(
@@ -251,18 +242,14 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
                 f"({', '.join(list_benchmarks())}) and not a valid expression ({err})"
             ) from err
 
-        if args.bounds is not None and args.bounds_file is not None:
-            raise CliError("--bounds and --bounds-file are mutually exclusive")
         if args.bounds is not None:
             space = _search_space(args.bounds, dim, "for --bounds")
-        elif args.bounds_file is not None:
-            space = _search_space(_read_bounds_file(args.bounds_file), dim, f"in {args.bounds_file}")
         elif "bounds" in file_cfg:
             space = _search_space(_config_rows(file_cfg["bounds"]), dim, "in config file")
         elif benchmark is not None:
             space = benchmark.default_box(dim)
         else:
-            raise CliError("--bounds or --bounds-file is required for expression objectives")
+            raise CliError("--bounds or a config file's bounds is required for expression objectives")
     except MemoryError:
         raise CliError(f"--dim is too large for its box to fit in memory, got {_quoted(dim)}") from None
 
@@ -278,7 +265,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     outputs = {"--out-json": args.out_json, "--out-csv": args.out_csv}
     _without_nul(outputs)
     first: dict = {}  # each file's first flag; no output may share one
-    for flag, path in {"--config": args.config, "--bounds-file": args.bounds_file, **outputs}.items():
+    for flag, path in {"--config": args.config, **outputs}.items():
         other = first.setdefault(_file_key(path), flag) if path else flag  # "" names no file
         if other != flag and flag in outputs:
             raise CliError(f"{other} and {flag} name the same file")

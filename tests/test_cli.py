@@ -90,13 +90,44 @@ def test_parse_config_file_and_flag_precedence(tmp_path):
     assert override.params.se == 25 and override.space.dim == 3
 
 
-def test_parse_config_bounds_file(tmp_path):
-    path = tmp_path / "box.txt"
-    path.write_text("# per-coordinate box\n-3,3\n-2 2\n\n-1,1\n")
-    config = parse_config(
-        ["--function", "paper_quadratic", "--dim", "3", "--bounds-file", str(path)]
-    )
+def test_parse_config_bounds_rows(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bounds": [[-3, 3], [-2, 2], [-1, 1]]}))
+    config = parse_config(["--function", "sphere", "--dim", "3", "--config", str(cfg)])
     assert bounds_of(config) == [(-3.0, 3.0), (-2.0, 2.0), (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "bounds", ["-1,1", "-1 1", ["-1", "1"], [-1, 1], [-1.0, "1"]],
+    ids=["text", "spaced-text", "strings", "numbers", "mixed"],
+)
+def test_config_bounds_pair_reads_like_the_bounds_flag(tmp_path, bounds):
+    """A uniform pair in a config file, as text or as two items, gives the
+    box that --bounds -1,1 gives."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bounds": bounds}))
+    base = ["--function", "sphere", "--dim", "3"]
+    assert bounds_of(parse_config(base + ["--config", str(cfg)])) == \
+        bounds_of(parse_config(base + ["--bounds", "-1,1"])) == [(-1.0, 1.0)] * 3
+
+
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        ([True, 2], "malformed bounds in config file: coordinate 0: expected LO,HI, got 'True,2'"),
+        ([-1, "x" * 100_000], "malformed bounds in config file: coordinate 0: expected LO,HI"),
+        ({"lo": -1}, "malformed bounds in config file: expected"),
+        ([[-1, 1], 2], "malformed bounds in config file: expected"),
+    ],
+    ids=["bool", "long-text", "object", "mixed"],
+)
+def test_malformed_config_bounds_are_one_short_line(tmp_path, capsys, bounds, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, "bounds": bounds}))
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and len(err.encode()) < 400, "one short line"
 
 
 def test_parse_config_expression_function():
@@ -117,7 +148,7 @@ def test_parse_config_expression_function():
         (["--function", "sphere", "--dim", "2", "--bounds", "1"], "malformed bounds"),
         (["--function", "paper_quadratic", "--dim", "5"], "dim mismatch"),
         (["--function", "x1+x9", "--dim", "2", "--bounds", "-1,1"], "unknown function"),
-        (["--function", "x1+x2", "--dim", "2"], "--bounds or --bounds-file"),
+        (["--function", "x1+x2", "--dim", "2"], "--bounds or a config file's bounds is required"),
         (["--function", "sphere", "--dim", "2", "--se", "0"], "se"),
         (["--function", "sphere", "--dim", "2", "--seed", "-1"], "seed"),
         (["--function", "sphere", "--dim", "2", "--gamma", "inf"], "gamma"),
@@ -132,19 +163,20 @@ def test_parse_config_actionable_errors(args, needle):
 
 
 @pytest.mark.parametrize("lo,hi", [("nan", "1"), ("1", "nan"), ("inf", "2")])
-@pytest.mark.parametrize("source", ["flag", "file", "config"])
+@pytest.mark.parametrize("source", ["flag", "config", "config text", "config rows"])
 def test_parse_config_rejects_non_finite_bound(tmp_path, source, lo, hi):
     # Named as non-finite, not as a failed LO < HI comparison.
     base = ["--function", "sphere", "--dim", "2"]
     if source == "flag":
         args = base + ["--bounds", f"{lo},{hi}"]
-    elif source == "file":
-        path = tmp_path / "box.txt"
-        path.write_text(f"-1,1\n{lo},{hi}\n")
-        args = base + ["--bounds-file", str(path)]
     else:
+        bounds = {
+            "config": [float(lo), float(hi)],
+            "config text": f"{lo},{hi}",
+            "config rows": [[-1, 1], [lo, hi]],
+        }[source]
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"bounds": [float(lo), float(hi)]}))
+        cfg.write_text(json.dumps({"bounds": bounds}))
         args = base + ["--config", str(cfg)]
     with pytest.raises(CliError, match="malformed bounds .*bounds must be finite"):
         parse_config(args)
@@ -155,15 +187,11 @@ def test_parse_config_rejects_non_finite_bound(tmp_path, source, lo, hi):
     ["2,1", "1,1", "nan,1", "-1e308,1e308", "abc", "1," + "x" * 100_000],
     ids=["reversed", "empty", "nan", "width-overflows", "not-a-pair", "long-text"],
 )
-@pytest.mark.parametrize("source", ["flag", "file", "config"])
+@pytest.mark.parametrize("source", ["flag", "config", "config text", "config pair"])
 def test_malformed_bounds_name_their_source_in_one_short_line(tmp_path, capsys, source, text):
     base = ["--function", "sphere", "--dim", "2"]
     if source == "flag":
         args, where = base + ["--bounds", text], "for --bounds"
-    elif source == "file":
-        path = tmp_path / "box.txt"
-        path.write_text(f"-1,1\n{text}\n")
-        args, where = base + ["--bounds-file", str(path)], f"in {path}"
     else:
         def number_or_text(v):
             try:
@@ -173,23 +201,19 @@ def test_malformed_bounds_name_their_source_in_one_short_line(tmp_path, capsys, 
 
         cfg = tmp_path / "run.json"
         row = [number_or_text(v) for v in text.split(",")]
-        cfg.write_text(json.dumps({"bounds": [[-1, 1], row]}))
+        bounds = {"config": [[-1, 1], row], "config text": text, "config pair": row}[source]
+        cfg.write_text(json.dumps({"bounds": bounds}))
         args, where = base + ["--config", str(cfg)], "in config file"
     with pytest.raises(CliError) as info:
         parse_config(args)
     assert str(info.value).startswith(f"malformed bounds {where}")
+    if source == "config text":  # read exactly as --bounds reads it
+        with pytest.raises(CliError) as flag_info:
+            parse_config(base + ["--bounds", text])
+        assert str(info.value) == str(flag_info.value).replace("for --bounds", where, 1)
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and len(err.encode()) < 400, "one short line"
-
-
-def test_bounds_file_that_is_not_utf8_is_one_line(tmp_path, capsys):
-    path = tmp_path / "box.txt"
-    path.write_bytes(b"\xff-1,1\n-1,1\n")
-    args = ["--function", "sphere", "--dim", "2", "--bounds-file", str(path)]
-    code, out, err = run_cli(args, capsys)
-    assert code == 2 and out == "" and err.count("\n") == 1
-    assert "cannot read bounds file" in err
 
 
 @pytest.mark.parametrize(
@@ -208,17 +232,11 @@ def test_config_file_that_cannot_be_decoded_is_one_line(tmp_path, capsys, conten
     assert message in err
 
 
-@pytest.mark.parametrize("source", ["config", "bounds-file"])
-def test_input_file_may_start_with_a_byte_order_mark(tmp_path, capsys, source):
-    """A UTF-8 byte order mark at the start of either input file is skipped:
+def test_input_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte order mark at the start of the config file is skipped:
     the run prints what the same file without the mark prints."""
-    if source == "config":
-        text = json.dumps({"function": "x1^2 + x2^2", "dim": 2, "bounds": [-1, 1]})
-        args = ["--iterations", "3", "--seed", "4", "--config"]
-    else:
-        text = "# box\n-1,1\n-2 2\n"
-        args = ["--function", "x1^2 + x2^2", "--dim", "2", "--iterations", "3", "--seed", "4",
-                "--bounds-file"]
+    text = json.dumps({"function": "x1^2 + x2^2", "dim": 2, "bounds": [-1, 1]})
+    args = ["--iterations", "3", "--seed", "4", "--config"]
     outs = []
     for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
         path = tmp_path / name
@@ -238,27 +256,16 @@ def test_config_file_that_holds_no_object_is_one_line(tmp_path, capsys, content)
     assert err == f"error: config file {cfg} must hold a JSON object\n"
 
 
-def test_parse_config_mutually_exclusive_bounds(tmp_path):
-    from stapy.cli import CliError
-
-    path = tmp_path / "box.txt"
-    path.write_text("-1,1\n-1,1\n")
-    with pytest.raises(CliError, match="mutually exclusive"):
-        parse_config(
-            ["--function", "sphere", "--dim", "2", "--bounds", "-1,1",
-             "--bounds-file", str(path)]
-        )
+def test_parse_config_bounds_rows_dim_mismatch(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bounds": [[-1, 1]]}))
+    with pytest.raises(CliError, match=r"^dim mismatch: 1 bounds row\(s\) in config file, expected 2$"):
+        parse_config(["--function", "sphere", "--dim", "2", "--config", str(cfg)])
 
 
-def test_parse_config_bounds_file_dim_mismatch(tmp_path):
-    from stapy.cli import CliError
-
-    path = tmp_path / "box.txt"
-    path.write_text("-1,1\n")
-    with pytest.raises(CliError, match="dim mismatch"):
-        parse_config(
-            ["--function", "sphere", "--dim", "2", "--bounds-file", str(path)]
-        )
+def test_bounds_file_flag_is_an_unknown_argument(tmp_path, capsys):
+    args = ["--function", "sphere", "--dim", "2", "--bounds-file", "box.txt"]
+    assert run_cli(args, capsys) == (2, "", "error: 2 unrecognized argument(s), the first '--bounds-file'\n")
 
 
 def test_parse_config_rejects_unknown_config_key(tmp_path):
@@ -611,7 +618,7 @@ def test_main_expression_objective_runs(tmp_path, capsys):
     path = tmp_path / "expr.json"
     code, out, _ = run_cli(
         ["--function", "(x1-1)^2+(x2-2*x1)^2+(x3-3*x2)^2", "--dim", "3",
-         "--bounds-file", str(write_box(tmp_path)), "--iterations", "100",
+         "--config", str(write_box(tmp_path)), "--iterations", "100",
          "--seed", "3", "--out-json", str(path)],
         capsys,
     )
@@ -621,8 +628,8 @@ def test_main_expression_objective_runs(tmp_path, capsys):
 
 
 def write_box(tmp_path):
-    path = tmp_path / "box.txt"
-    path.write_text("-3,3\n-2,2\n-1,1\n")
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"bounds": [[-3, 3], [-2, 2], [-1, 1]]}))
     return path
 
 
@@ -722,7 +729,7 @@ def test_output_in_a_read_only_directory_fails_before_any_run(tmp_path, monkeypa
     assert list(guarded.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--out-json", "--out-csv", "--config", "--bounds-file"])
+@pytest.mark.parametrize("flag", ["--out-json", "--out-csv", "--config"])
 def test_path_with_a_nul_byte_fails_before_any_run(tmp_path, monkeypatch, capsysbinary, flag):
     """No file has a name with a NUL byte in it: exit 2 before the first seed
     runs, and for an input before any file is read, one short line that names
@@ -735,7 +742,7 @@ def test_path_with_a_nul_byte_fails_before_any_run(tmp_path, monkeypatch, capsys
     else:
         cfg.write_text(json.dumps({"function": "x1", "dim": 1}))
         argv = ["--config", str(cfg), flag, "a\0b"]
-        monkeypatch.setattr(cli, "_read", lambda *a: pytest.fail("a file was read"))
+        monkeypatch.setattr(cli, "_load_config_file", lambda *a: pytest.fail("a file was read"))
     monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
     code = main(argv)
     out, err = capsysbinary.readouterr()
@@ -872,32 +879,28 @@ def test_failed_write_keeps_a_file_it_could_not_open(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("spelling", ["dotted", "hard link"])
 @pytest.mark.parametrize("given", ["flag", "config key"])
 @pytest.mark.parametrize("output", ["--out-json", "--out-csv"])
-@pytest.mark.parametrize("source", ["--config", "--bounds-file"])
-def test_output_may_not_overwrite_an_input(tmp_path, monkeypatch, capsys, source, output, given,
-                                           spelling):
-    """An output that names the config file or the bounds file, under any
-    spelling of its path or through a hard link to it, is one error line,
-    exit 2, before any seed runs, and the input is left as it was."""
-    cfg, box = tmp_path / "run.json", tmp_path / "box.txt"
-    box.write_text("-1,1\n-1,1\n")
-    source_path = cfg if source == "--config" else box
+def test_output_may_not_overwrite_an_input(tmp_path, monkeypatch, capsys, output, given, spelling):
+    """An output that names the config file, under any spelling of its path
+    or through a hard link to it, is one error line, exit 2, before any seed
+    runs, and the config file is left as it was."""
+    cfg = tmp_path / "run.json"
     links = [tmp_path / "hard"] if spelling == "hard link" else []
-    target = str(links[0]) if links else f"{tmp_path}/./{source_path.name}"  # not as the input spells it
-    doc = {"function": "x1^2+x2^2", "dim": 2}
+    target = str(links[0]) if links else f"{tmp_path}/./{cfg.name}"  # not as the input spells it
+    doc = {"function": "x1^2+x2^2", "dim": 2, "bounds": [[-1, 1], [-1, 1]]}
     if given == "config key":
         doc[output[2:].replace("-", "_")] = target
     cfg.write_text(json.dumps(doc))
     for link in links:
-        os.link(source_path, link)
-    before = {path: path.read_bytes() for path in (cfg, box)}
-    args = ["--config", str(cfg), "--bounds-file", str(box)]
+        os.link(cfg, link)
+    before = cfg.read_bytes()
+    args = ["--config", str(cfg)]
     args += [output, target] if given == "flag" else []
     monkeypatch.setattr(cli, "sta_run", lambda *a, **k: pytest.fail("a seed ran"))
-    with pytest.raises(CliError, match=f"^{source} and {output} name the same file$"):
+    with pytest.raises(CliError, match=f"^--config and {output} name the same file$"):
         parse_config(args)
-    assert run_cli(args, capsys) == (2, "", f"error: {source} and {output} name the same file\n")
-    assert {path: path.read_bytes() for path in (cfg, box)} == before
-    assert sorted(tmp_path.iterdir()) == sorted([box, cfg, *links])
+    assert run_cli(args, capsys) == (2, "", f"error: --config and {output} name the same file\n")
+    assert cfg.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == sorted([cfg, *links])
 
 
 def test_run_that_aborts_is_one_line_and_writes_no_output(tmp_path, capsys):

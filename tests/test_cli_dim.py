@@ -25,28 +25,26 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def uniform_config(tmp_path):
+def uniform_config(tmp_path, bounds=(-1, 1)):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"bounds": [-1, 1]}))
+    cfg.write_text(json.dumps({"bounds": bounds}))
     return str(cfg)
 
 
-def bounds_sources(tmp_path, dim):
-    """Each way to give the box [-1, 1] over ``dim`` coordinates."""
-    path = tmp_path / "box.txt"
-    path.write_text("-1,1\n" * dim)
+def bounds_sources(tmp_path):
+    """Each way to give the box [-1, 1] over every coordinate."""
     return {
         "flag": ["--bounds", "-1,1"],
         "config": ["--config", uniform_config(tmp_path)],
-        "file": ["--bounds-file", str(path)],
+        "config text": ["--config", uniform_config(tmp_path, "-1,1")],
         "default": [],
     }
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "file", "default"])
+@pytest.mark.parametrize("source", ["flag", "config", "config text", "default"])
 @pytest.mark.parametrize("function", ["x1", "sphere", "paper_quadratic"])
 def test_an_unindexable_dim_is_one_line_naming_dim(tmp_path, capsys, function, source):
-    args = ["--function", function, "--dim", HUGE] + bounds_sources(tmp_path, 2)[source]
+    args = ["--function", function, "--dim", HUGE] + bounds_sources(tmp_path)[source]
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err == f"error: --dim must be a positive integer whose box fits in memory, got {HUGE}\n"
@@ -54,8 +52,8 @@ def test_an_unindexable_dim_is_one_line_naming_dim(tmp_path, capsys, function, s
 
 @pytest.mark.parametrize(
     "function, source",
-    [("x1", "flag"), ("x1", "config"), ("x1", "file")]
-    + [("sphere", source) for source in ("flag", "config", "file", "default")],
+    [("x1", "flag"), ("x1", "config"), ("x1", "config text")]
+    + [("sphere", source) for source in ("flag", "config", "config text", "default")],
 )
 def test_a_box_that_runs_out_of_memory_is_one_line_naming_dim(
     tmp_path, capsys, monkeypatch, function, source
@@ -64,18 +62,18 @@ def test_a_box_that_runs_out_of_memory_is_one_line_naming_dim(
         raise MemoryError
 
     monkeypatch.setattr(SearchSpace, "__post_init__", out_of_memory)
-    args = ["--function", function, "--dim", "3"] + bounds_sources(tmp_path, 3)[source]
+    args = ["--function", function, "--dim", "3"] + bounds_sources(tmp_path)[source]
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err == "error: --dim is too large for its box to fit in memory, got 3\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "config", "config text"])
 def test_uniform_bounds_are_read_once(tmp_path, source):
     """A uniform pair costs a few float64 arrays of the dimension, not a text
     and a tuple per coordinate."""
     dim = 10**6
-    bounds = ["--bounds", "-1,1"] if source == "flag" else ["--config", uniform_config(tmp_path)]
+    bounds = bounds_sources(tmp_path)[source]
     args = ["--function", "x1", "--dim", str(dim)] + bounds
     tracemalloc.start()
     try:
@@ -105,9 +103,9 @@ def test_a_benchmark_with_given_bounds_builds_no_default_box():
     assert benchmark <= 1.1 * expression
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "file", "default"])
+@pytest.mark.parametrize("source", ["flag", "config", "config text", "default"])
 def test_a_fixed_dim_benchmark_rejects_another_dim_whatever_the_bounds(tmp_path, capsys, source):
-    args = ["--function", "paper_quadratic", "--dim", "4"] + bounds_sources(tmp_path, 4)[source]
+    args = ["--function", "paper_quadratic", "--dim", "4"] + bounds_sources(tmp_path)[source]
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err == "error: dim mismatch: benchmark 'paper_quadratic' is fixed to dim 3, got 4\n"

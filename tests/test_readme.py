@@ -63,6 +63,14 @@ def test_cli_section_names_every_flag():
     assert missing == []
 
 
+def test_cli_flag_table_names_only_the_parser_flags():
+    """The converse: a flag the parser no longer has cannot stay in the table."""
+    rows = [line.split("|")[1] for line in section("CLI").splitlines() if line.startswith("| `")]
+    in_table = {flag for cell in rows for flag in re.findall(r"--[\w-]+", cell)}
+    flags = {o for action in cli.build_parser()._actions for o in action.option_strings}
+    assert in_table == flags - {"-h", "--help"}
+
+
 def test_config_paragraph_names_every_key():
     (paragraph,) = [p for p in section("CLI").split("\n\n") if p.startswith("A `--config` file")]
     assert [key for key in cli._CONFIG_KEYS if f"`{key}`" not in paragraph] == []
