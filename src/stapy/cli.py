@@ -3,7 +3,7 @@
 Precedence for every setting is CLI flag > config file (``--config``, JSON)
 > built-in default.  The ``params`` object written into each JSON summary
 record is itself a valid ``--config`` document, so any recorded run can be
-replayed verbatim.
+replayed verbatim with its record's seed as ``--seed``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class RunConfig:
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(StaParams))
-_CONFIG_KEYS = ("function", "dim", "bounds", "seeds", "target_fitness", "out_json", "out_csv") + _PARAM_KEYS
+_CONFIG_KEYS = ("function", "dim", "bounds", "target_fitness", "out_json", "out_csv") + _PARAM_KEYS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,17 +167,16 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     not even as ``--flag=--``.  A config-file value is read exactly like the
     flag it stands for: it becomes that flag's default as a string (its JSON
     text unless it is a string), which argparse types with the flag's
-    ``type`` when the flag is not given.  A ``seeds`` list becomes ``--seed``
-    arguments, and ``bounds`` is ``--bounds``'s text, a ``[lo, hi]`` pair
-    for every coordinate, or one ``[lo, hi]`` row per coordinate.  No path
-    may hold a NUL byte, judged for ``--config`` before it is read, and no
-    output may name the config file, hard links included; ``run_command``
-    opens the outputs.
+    ``type`` when the flag is not given; seeds come from ``--seed`` alone.
+    ``bounds`` is ``--bounds``'s text, a ``[lo, hi]`` pair for every
+    coordinate, or one ``[lo, hi]`` row per coordinate.  No path may hold a
+    NUL byte, judged for ``--config`` before it is read, and no output may
+    name the config file, hard links included; ``run_command`` opens the
+    outputs.
     Raises CliError for a configuration problem, argparse's included; only
     ``--help`` exits.
     """
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     args, extra = parser.parse_known_args(argv)
     if extra:  # argparse's own message quotes every extra token in full
         parser.error(f"{len(extra)} unrecognized argument(s), the first {_quoted(extra[0])}")
@@ -192,17 +191,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
             **{
                 key: value if isinstance(value, str) else json.dumps(value)
                 for key, value in file_cfg.items()
-                if key not in ("bounds", "seeds")
+                if key != "bounds"
             }
         )
-        seeds = file_cfg.get("seeds")
-        if seeds is not None and args.seed is None:
-            if not isinstance(seeds, list) or not seeds:
-                got = "an empty list" if isinstance(seeds, list) else _quoted(seeds)
-                raise CliError(
-                    f"config file {args.config}: seeds must be a non-empty list of integers, got {got}"
-                )
-            argv = [f"--seed={json.dumps(s)}" for s in seeds] + argv
         try:
             args = parser.parse_args(argv)
         except CliError as err:
@@ -373,3 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         line = line if len(line) <= 300 else f"{line[:150]}...{line[-150:]}"
         print(f"error: {line}", file=sys.stderr)
         return 2 if isinstance(err, CliError) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -242,9 +242,9 @@ class RandomSource:
         """Uniform integers on {0, ..., n - 1}: ``Generator.integers(n, size=size)``."""
         return self._gen.integers(n, size=size)
 
-    def _int8(self, rows: int, width: int) -> Array:  # eight per raw output, low byte first
-        words = self._gen.bit_generator.random_raw(rows * -(-width // 8))  # whole outputs per row
-        return words.astype("<u8", copy=False).view(np.int8).reshape(rows, -1)[:, :width]
+    def _int8(self, rows: int) -> Array:  # (rows, 16): two raw outputs per row, low byte first
+        words = self._gen.bit_generator.random_raw(2 * rows)
+        return words.astype("<u8", copy=False).view(np.int8).reshape(rows, 16)
 
     def __repr__(self):
         return f"{type(self).__name__}(seed={self.seed})"

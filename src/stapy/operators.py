@@ -85,12 +85,12 @@ def _rotate(best: Array, se: int, alpha: float, rng: RandomSource) -> Array:
     n = best.size
     w = _weights(_unit(best))
     # Round w, ties to even, to multiples of q = 2**(e - 37), where max|w_l| < 2**e, by adding and
-    # removing 1.5 * 2**(e + 15), whose ulp is q. Each K_l * w_l and partial sum is exact: < 2**53 q.
+    # removing 1.5 * 2**(e + 15), whose ulp is q. Each K_l * w_l, partial sum and sum(w) is exact: < 2**53 q.
     c = math.ldexp(1.5, math.frexp(np.abs(w).max())[1] + 15)
     w += c
     w -= c
-    s = np.dot(rng._int8(se * n, 16), w)
-    s += 0.5 * math.fsum(w.tolist())
+    s = np.dot(rng._int8(se * n), w)
+    s += 0.5 * w.sum()
     s *= alpha / n * 2.0**-7
     return best + s.reshape(se, n)
 

@@ -77,11 +77,10 @@ def test_parse_config_file_and_flag_precedence(tmp_path):
                 "bounds": [-10, 10],
                 "iterations": 50,
                 "se": 10,
-                "seeds": [7],
             }
         )
     )
-    config = parse_config(["--config", str(cfg)])
+    config = parse_config(["--config", str(cfg), "--seed", "7"])
     assert (config.function, config.space.dim, config.params.se) == ("sphere", 4, 10)
     assert bounds_of(config) == [(-10.0, 10.0)] * 4
     assert config.seeds == (7,)
@@ -284,11 +283,8 @@ def test_parse_config_rejects_unknown_config_key(tmp_path):
         {"dim": 2.7},
         {"dim": True},
         {"target_fitness": "x"},
-        {"seeds": [1.9]},
-        {"seeds": "17"},
-        {"seeds": []},
     ],
-    ids=["dim-abc", "dim-2.7", "dim-true", "target-x", "seeds-1.9", "seeds-str", "seeds-empty"],
+    ids=["dim-abc", "dim-2.7", "dim-true", "target-x"],
 )
 def test_config_file_value_is_typed_like_its_flag(tmp_path, capsys, entry):
     cfg = tmp_path / "run.json"
@@ -300,25 +296,16 @@ def test_config_file_value_is_typed_like_its_flag(tmp_path, capsys, entry):
     assert err.startswith("error: ") and err.count("\n") == 1, "one-line message"
 
 
-def test_config_file_long_seeds_value_is_one_short_line(tmp_path, capsys):
+def test_config_seeds_is_an_unknown_key(tmp_path, capsys):
+    """Seeds come from --seed alone; a config file's seeds fails before any output is opened."""
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, "seeds": "x" * 100_000}))
+    doc = {"function": "sphere", "dim": 2, "seeds": [1], "out_json": str(tmp_path / "out.json")}
+    cfg.write_text(json.dumps(doc))
     code, out, err = run_cli(["--config", str(cfg)], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert len(err.encode()) < 400
-
-
-@pytest.mark.parametrize(
-    "seeds, got", [([], "an empty list"), ({"a": 1}, "dict"), ("17", "'17'"), (True, "True")],
-    ids=["empty", "object", "str", "true"],
-)
-def test_config_file_seeds_message_says_what_the_value_is(tmp_path, capsys, seeds, got):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"function": "sphere", "dim": 2, "seeds": seeds}))
-    code, out, err = run_cli(["--config", str(cfg)], capsys)
-    assert code == 2 and out == ""
-    assert err == f"error: config file {cfg}: seeds must be a non-empty list of integers, got {got}\n"
+    known = ", ".join(cli._CONFIG_KEYS)
+    assert (code, out, err) == (2, "", f"error: unknown config key 'seeds' (known: {known})\n")
+    assert len(cli._CONFIG_KEYS) == 14
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 TYPED_FLAGS = (
@@ -400,7 +387,7 @@ def test_every_option_with_a_long_token_is_at_most_one_short_line(
 def test_config_file_null_is_absent_and_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(
-        json.dumps({"function": "sphere", "dim": "abc", "se": None, "seeds": [1.9]})
+        json.dumps({"function": "sphere", "dim": "abc", "se": None})
     )
     config = parse_config(["--config", str(cfg), "--dim", "3", "--seed", "4"])
     assert (config.space.dim, config.params.se, config.seeds) == (3, 30, (4,))
@@ -591,27 +578,27 @@ def test_main_json_schema_and_feasibility(tmp_path, capsys):
 
 
 def test_main_config_round_trip_replay(tmp_path, capsys):
-    """The params object in the JSON summary reproduces the identical run."""
-    first = tmp_path / "first.json"
+    """The params object in the JSON summary, with the record's seed as --seed,
+    reproduces the identical record and CSV rows, runtime_ms aside."""
     code, _, _ = run_cli(
-        ["--function", "rastrigin", "--dim", "5", "--iterations", "60",
-         "--seed", "9", "--out-json", str(first)],
+        ["--function", "rastrigin", "--dim", "5", "--iterations", "60", "--seed", "9",
+         "--out-json", str(tmp_path / "first.json"), "--out-csv", str(tmp_path / "first.csv")],
         capsys,
     )
     assert code == 0
-    record = json.loads(first.read_text(encoding="utf-8"))[0]
+    (record,) = json.loads((tmp_path / "first.json").read_text(encoding="utf-8"))
     replay_cfg = tmp_path / "replay.json"
     replay_cfg.write_text(json.dumps(record["params"]))
-    second = tmp_path / "second.json"
     code, _, _ = run_cli(
-        ["--config", str(replay_cfg), "--seed", "9", "--out-json", str(second)],
+        ["--config", str(replay_cfg), "--seed", str(record["seed"]),
+         "--out-json", str(tmp_path / "second.json"), "--out-csv", str(tmp_path / "second.csv")],
         capsys,
     )
     assert code == 0
-    replayed = json.loads(second.read_text(encoding="utf-8"))[0]
-    assert replayed["best"] == record["best"]
-    assert replayed["fbest"] == record["fbest"]
-    assert replayed["evaluations"] == record["evaluations"]
+    (replayed,) = json.loads((tmp_path / "second.json").read_text(encoding="utf-8"))
+    del record["runtime_ms"], replayed["runtime_ms"]
+    assert replayed == record
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 def test_main_expression_objective_runs(tmp_path, capsys):

@@ -90,7 +90,7 @@ def test_rotate_actually_moves():
 
 def test_rotate_step_norm_bounded_by_alpha_up_to_1e300():
     """max ||row - best|| <= alpha over 1e4 rows, and at alpha = 1e300 every row
-    is finite: the float32 product is scaled in float64."""
+    is finite: the exact float64 product is scaled by alpha / n only after the sum."""
     best = np.linspace(-1.0, 2.0, 8)
     for alpha in (1e-4, 1.0, 1e300):
         batch = op_rotate(best, 10_000, alpha, rng(4))
@@ -220,23 +220,16 @@ def test_rotate_memory_is_linear_in_se_n(n):
 
 def test_rotation_entries_are_the_signed_bytes_of_raw_words_low_first():
     b = signed_bytes(5, 4)
-    entries = RandomSource(5)._int8(2, 16)
+    source = RandomSource(5)
+    entries = source._int8(2)
     assert entries.dtype == np.int8
     assert entries.tolist() == [b[:16], b[16:]]
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 9])
-def test_rotation_entries_of_a_width_not_a_multiple_of_eight_drop_each_rows_last_bytes(width):
-    words = -(-width // 8)  # per row
-    b = signed_bytes(6, 2 * words)
-    source = RandomSource(6)
-    assert source._int8(2, width).tolist() == [b[:width], b[8 * words : 8 * words + width]]
-    after = np.random.Generator(np.random.PCG64(6)).uniform(0.0, 1.0, 2 * words + 1)[-1]
-    assert source.uniform(0.0, 1.0) == after, f"{2 * words} raw words consumed"
+    after = np.random.Generator(np.random.PCG64(5)).uniform(0.0, 1.0, 5)[-1]
+    assert source.uniform(0.0, 1.0) == after, "4 raw words consumed"
 
 
 def test_rotation_entries_scale_onto_a_symmetric_grid_of_256_values():
-    r = (RandomSource(8)._int8(1000, 1000) + 0.5) * 2.0**-7
+    r = (RandomSource(8)._int8(62_500) + 0.5) * 2.0**-7
     assert r.min() == -255 / 256 and r.max() == 255 / 256
     assert np.unique(r).size == 256
     assert abs(r.mean()) < 3e-3

@@ -38,6 +38,9 @@ SILENT = [
     pytest.param(["-m", "stapy", "--function", "sqrt(x1) + 1/(x2-1) + exp(1000*x3)", "--dim", "3",
                   "--bounds", "-1,1", "--iterations", "20", "--seed", "1", "--seed", "2",
                   "--seed", "3"], b"seed 1: ", id="domain-errors"),
+    # The module path runs the CLI as the package does.
+    pytest.param(["-m", "stapy.cli", "--function", "sphere", "--dim", "2", "--iterations", "2",
+                  "--seed", "1"], b"seed 1: ", id="module-path"),
     # --help is the one way parse_config exits.
     pytest.param(["-m", "stapy", "--help"], b"usage: stapy", id="help"),
 ] + [pytest.param([str(demo)], b"", id=demo.stem) for demo in DEMOS]
@@ -66,8 +69,8 @@ ERRORS = [
     # argparse's own message, which main writes too.
     pytest.param({}, ["--function", "sphere", "--dim", "2", "--bounds", LONG], 2, id="long-bounds"),
     pytest.param({}, ["--function", "sphere", "--dim", LONG], 2, id="long-dim"),
-    pytest.param({"long-seeds.json": {"function": "sphere", "dim": 2, "seeds": LONG}},
-                 ["--config", "long-seeds.json"], 2, id="long-seeds"),
+    pytest.param({"long-se.json": {"function": "sphere", "dim": 2, "se": LONG}},
+                 ["--config", "long-se.json"], 2, id="long-config-value"),
     pytest.param({"nul-path.json": {"function": "sphere", "dim": 2, "out_json": "a\0b"}},
                  ["--config", "nul-path.json"], 2, id="nul-path"),
     # A config file whose out_json names the file itself.

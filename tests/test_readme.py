@@ -74,3 +74,10 @@ def test_cli_flag_table_names_only_the_parser_flags():
 def test_config_paragraph_names_every_key():
     (paragraph,) = [p for p in section("CLI").split("\n\n") if p.startswith("A `--config` file")]
     assert [key for key in cli._CONFIG_KEYS if f"`{key}`" not in paragraph] == []
+
+
+def test_config_paragraph_lists_only_the_config_keys():
+    """The converse: a key the CLI no longer reads cannot stay in the paragraph's key list."""
+    (paragraph,) = [p for p in section("CLI").split("\n\n") if p.startswith("A `--config` file")]
+    first_sentence = re.split(r"\.\s", paragraph, maxsplit=1)[0]
+    assert sorted(re.findall(r"`(\w+)`", first_sentence)) == sorted(cli._CONFIG_KEYS)
