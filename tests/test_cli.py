@@ -296,10 +296,16 @@ def test_config_file_value_is_typed_like_its_flag(tmp_path, capsys, entry):
     assert err.startswith("error: ") and err.count("\n") == 1, "one-line message"
 
 
-def test_config_seeds_is_an_unknown_key(tmp_path, capsys):
-    """Seeds come from --seed alone; a config file's seeds fails before any output is opened."""
+@pytest.mark.parametrize(
+    "seeds",
+    [[1], [], {"a": 1}, "17", True, [1.9], None, "x" * 100_000],
+    ids=["list", "empty", "object", "str", "true", "float", "null", "long"],
+)
+def test_config_seeds_is_an_unknown_key(tmp_path, capsys, seeds):
+    """Seeds come from --seed alone; a config file's seeds fails, whatever its
+    value and null too, with the same line and before any output is opened."""
     cfg = tmp_path / "run.json"
-    doc = {"function": "sphere", "dim": 2, "seeds": [1], "out_json": str(tmp_path / "out.json")}
+    doc = {"function": "sphere", "dim": 2, "seeds": seeds, "out_json": str(tmp_path / "out.json")}
     cfg.write_text(json.dumps(doc))
     code, out, err = run_cli(["--config", str(cfg)], capsys)
     known = ", ".join(cli._CONFIG_KEYS)

@@ -228,6 +228,17 @@ def test_rotation_entries_are_the_signed_bytes_of_raw_words_low_first():
     assert source.uniform(0.0, 1.0) == after, "4 raw words consumed"
 
 
+@pytest.mark.parametrize("rows", [0, 1, 3, 4, 7, 9, 16, 33])
+def test_rotation_entries_of_any_row_count_take_two_raw_words_per_row(rows):
+    b = signed_bytes(6, 2 * rows)
+    source = RandomSource(6)
+    entries = source._int8(rows)
+    assert entries.shape == (rows, 16)
+    assert entries.tolist() == [b[16 * i : 16 * i + 16] for i in range(rows)]
+    after = np.random.Generator(np.random.PCG64(6)).uniform(0.0, 1.0, 2 * rows + 1)[-1]
+    assert source.uniform(0.0, 1.0) == after, f"{2 * rows} raw words consumed"
+
+
 def test_rotation_entries_scale_onto_a_symmetric_grid_of_256_values():
     r = (RandomSource(8)._int8(62_500) + 0.5) * 2.0**-7
     assert r.min() == -255 / 256 and r.max() == 255 / 256

@@ -71,6 +71,9 @@ ERRORS = [
     pytest.param({}, ["--function", "sphere", "--dim", LONG], 2, id="long-dim"),
     pytest.param({"long-se.json": {"function": "sphere", "dim": 2, "se": LONG}},
                  ["--config", "long-se.json"], 2, id="long-config-value"),
+    # A config file that still holds seeds fails as an unknown key, however long its value.
+    pytest.param({"long-seeds.json": {"function": "sphere", "dim": 2, "seeds": LONG}},
+                 ["--config", "long-seeds.json"], 2, id="long-seeds"),
     pytest.param({"nul-path.json": {"function": "sphere", "dim": 2, "out_json": "a\0b"}},
                  ["--config", "nul-path.json"], 2, id="nul-path"),
     # A config file whose out_json names the file itself.
