@@ -15,13 +15,13 @@ import re
 import sys
 import time
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
 from .benchmarks import get_benchmark, list_benchmarks
-from .core import ObjectiveFn, SearchSpace, StaParams, _count, _quoted, _real
+from .core import SearchSpace, StaParams, _count, _quoted, _real
 from .engine import RunAborted, sta_run
 from .expressions import ExpressionError, parse_expression
 
@@ -31,20 +31,7 @@ class CliError(Exception):
     message as one ``error:`` line and exits 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    function: str
-    objective: ObjectiveFn
-    space: SearchSpace
-    params: StaParams
-    seeds: tuple[int, ...]
-    target_fitness: Optional[float]
-    out_json: Optional[str]
-    out_csv: Optional[str]
-
-
 _PARAM_KEYS = tuple(f.name for f in fields(StaParams))
-_CONFIG_KEYS = ("function", "dim", "bounds", "target_fitness", "out_json", "out_csv") + _PARAM_KEYS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,14 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform per-coordinate bounds as LO,HI (e.g. --bounds -5.12,5.12)",
     )
     parser.add_argument("--config", help="JSON config file; CLI flags override it")
-    parser.add_argument("--iterations", type=int, help="outer-loop budget (default 1000)")
-    parser.add_argument("--se", type=int, help="samples per operator application (default 30)")
-    parser.add_argument("--alpha-max", type=float, help="initial rotation radius (default 1)")
-    parser.add_argument("--alpha-min", type=float, help="radius reset threshold (default 1e-4)")
-    parser.add_argument("--beta", type=float, help="translation step cap (default 1)")
-    parser.add_argument("--gamma", type=float, help="expansion scale (default 1)")
-    parser.add_argument("--delta", type=float, help="axis perturbation scale (default 1)")
-    parser.add_argument("--fc", type=float, help="rotation radius decay base (default 2)")
+    parser.add_argument("--iterations", type=int, help="outer-loop budget (default %(default)s)")
+    parser.add_argument("--se", type=int, help="samples per operator application (default %(default)s)")
+    parser.add_argument("--alpha-max", type=float, help="initial rotation radius (default %(default)s)")
+    parser.add_argument("--alpha-min", type=float, help="radius reset threshold (default %(default)s)")
+    parser.add_argument("--beta", type=float, help="translation step cap (default %(default)s)")
+    parser.add_argument("--gamma", type=float, help="expansion scale (default %(default)s)")
+    parser.add_argument("--delta", type=float, help="axis perturbation scale (default %(default)s)")
+    parser.add_argument("--fc", type=float, help="rotation radius decay base (default %(default)s)")
     parser.add_argument(
         "--seed",
         type=int,
@@ -93,7 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     # looks like a negative number; widen that to every token, as in "--function -x1^2".
     # Set last: a flag added after it would match it and turn the rule off.
     parser._negative_number_matcher = re.compile("-")
+    parser.set_defaults(**asdict(StaParams()))
     return parser
+
+
+# Each flag's setting but --config's own and the seeds is a config key of the same name.
+_CONFIG_KEYS = tuple(a.dest for a in build_parser()._actions if a.dest not in ("help", "config", "seed"))
 
 
 def _load_config_file(path: str) -> dict:
@@ -160,8 +152,9 @@ def _file_key(path: str):  # an existing file by device and inode, which a hard 
     return os.path.realpath(path)
 
 
-def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Resolve flags, config file, and defaults into a validated RunConfig.
+def parse_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Resolve flags, config file, and defaults into argparse's namespace,
+    with ``objective``, ``space``, ``params`` and ``seeds`` resolved.
 
     argparse gets the tokens unchanged, and ``--`` is never a flag's value,
     not even as ``--flag=--``.  A config-file value is read exactly like the
@@ -244,9 +237,8 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     except MemoryError:
         raise CliError(f"--dim is too large for its box to fit in memory, got {_quoted(dim)}") from None
 
-    overrides = {k: v for k, v in vars(args).items() if k in _PARAM_KEYS and v is not None}
     try:
-        params = StaParams(**overrides)
+        params = StaParams(**{k: getattr(args, k) for k in _PARAM_KEYS})
         seeds = tuple(_count(s, "seed", 0, 2**64) for s in args.seed or [0])
         if args.target_fitness is not None:
             args.target_fitness = _real(args.target_fitness, "target_fitness")
@@ -261,19 +253,11 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         if other != flag and flag in outputs:
             raise CliError(f"{other} and {flag} name the same file")
 
-    return RunConfig(
-        function=function,
-        objective=objective,
-        space=space,
-        params=params,
-        seeds=seeds,
-        target_fitness=args.target_fitness,
-        out_json=args.out_json,
-        out_csv=args.out_csv,
-    )
+    args.dim, args.objective, args.space, args.params, args.seeds = dim, objective, space, params, seeds
+    return args
 
 
-def _params_document(config: RunConfig) -> dict:
+def _params_document(config: argparse.Namespace) -> dict:
     space = config.space
     doc = {"function": config.function, "dim": space.dim}
     doc["bounds"] = np.column_stack((space.lower, space.upper)).tolist()
@@ -290,7 +274,7 @@ def _writing(path: str):
         raise OSError(f"cannot write {path}: {err.strerror}") from err
 
 
-def run_command(config: RunConfig) -> int:
+def run_command(config: argparse.Namespace) -> int:
     """Open the outputs, JSON then CSV, run each seed and print its summary,
     then write the outputs; return 0, or raise RunAborted or OSError.  An
     output that exists is truncated when opened, as the shell's ``>`` does;

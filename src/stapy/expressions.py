@@ -19,6 +19,7 @@ candidates.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,13 +53,8 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value: Optional[str], pos: int):
-        self.kind = kind  # "num" | "name" | "op" | "end"
-        self.value = value  # the token's text, None at the end
-        self.pos = pos  # 1-based column
+# kind "num" | "name" | "op" | "end"; value the token's text, None at the end; pos its 1-based column
+_Token = namedtuple("_Token", "kind value pos")
 
 
 def _tokenize(text: str) -> list[_Token]:

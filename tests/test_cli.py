@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stapy import cli
+from stapy import StaParams, cli
 from stapy.cli import CliError, build_parser, main, parse_config
 
 
@@ -312,6 +312,50 @@ def test_config_seeds_is_an_unknown_key(tmp_path, capsys, seeds):
     assert (code, out, err) == (2, "", f"error: unknown config key 'seeds' (known: {known})\n")
     assert len(cli._CONFIG_KEYS) == 14
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+# One valid value for each config key, as its config entry and as its flag's text.
+CONFIG_VALUES = {
+    "function": ("rastrigin", "rastrigin"),
+    "dim": (4, "4"),
+    "bounds": ([-2, 2], "-2,2"),
+    "iterations": (7, "7"),
+    "se": (12, "12"),
+    "alpha_max": (2.5, "2.5"),
+    "alpha_min": (1e-3, "1e-3"),
+    "beta": (0.5, "0.5"),
+    "gamma": (1.5, "1.5"),
+    "delta": (0.25, "0.25"),
+    "fc": (4, "4"),
+    "target_fitness": (1e-9, "1e-9"),
+    "out_json": ("out.json", "out.json"),
+    "out_csv": ("out.csv", "out.csv"),
+}
+
+
+@pytest.mark.parametrize("key", cli._CONFIG_KEYS)
+def test_every_config_key_reads_like_its_flag(tmp_path, key):
+    """A config entry resolves the run exactly as its flag does, and changes it."""
+    entry, text = CONFIG_VALUES[key]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: entry}))
+    base = {"function": "sphere", "dim": "3"}
+    args = [arg for k, v in base.items() if k != key for arg in (f"--{k}", v)]
+
+    def resolved(argv):
+        config = parse_config(argv)
+        return (config.function, bounds_of(config), config.params, config.seeds,
+                config.target_fitness, config.out_json, config.out_csv)
+
+    from_file = resolved(args + ["--config", str(cfg)])
+    assert from_file == resolved(args + ["--" + key.replace("_", "-"), text])
+    assert from_file != resolved([arg for k, v in base.items() for arg in (f"--{k}", v)])
+
+
+def test_param_flag_defaults_are_the_sta_params_defaults():
+    parser = build_parser()
+    defaults = StaParams()
+    assert [k for k in cli._PARAM_KEYS if parser.get_default(k) != getattr(defaults, k)] == []
 
 
 TYPED_FLAGS = (

@@ -1,9 +1,12 @@
 """Whole processes, started as a user starts them: the stapy CLI, each demo and
 a script, each under ``python -W error`` in a fresh working directory, with
-stapy imported from the source tree that this test session imported."""
+stapy imported from the source tree that this test session imported; and
+CI's sha256 pins, checked here too."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 import stapy
 
 SRC = Path(stapy.__file__).resolve().parents[1]
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 LONG = "x" * 100_000
 
 
@@ -129,3 +133,12 @@ def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert one == two
     code, stdout, stderr = one
     assert (code, stderr) == (0, b"") and stdout.count(b"\n") == 3
+
+
+def test_ci_sha256_pins_hold():
+    """CI's ``sha256sum -c`` step, read from the workflow, which stays the one
+    place the hashes are written: each pinned file still has its hash."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    pins = {path: digest for digest, path in re.findall(r"^\s*([0-9a-f]{64})  (\S+)$", workflow, re.M)}
+    assert len(pins) == 4
+    assert {path: hashlib.sha256((ROOT / path).read_bytes()).hexdigest() for path in pins} == pins
