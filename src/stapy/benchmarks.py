@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,13 +36,13 @@ __all__ = [
 ]
 
 
-def sphere(x) -> Union[np.float64, Array]:
+def sphere(x) -> np.float64 | Array:
     """Sum of squares; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
     return np.add.reduce(x * x, axis=-1)
 
 
-def rosenbrock(x) -> Union[np.float64, Array]:
+def rosenbrock(x) -> np.float64 | Array:
     """Banana-valley function; minimum 0 at (1, ..., 1)."""
     x = np.asarray(x, dtype=float)
     head, tail = x[..., :-1], x[..., 1:]
@@ -52,7 +52,7 @@ def rosenbrock(x) -> Union[np.float64, Array]:
 _TWO_PI = 2.0 * np.pi
 
 
-def rastrigin(x) -> Union[np.float64, Array]:
+def rastrigin(x) -> np.float64 | Array:
     """10n + sum(x_i^2 - 10 cos(2 pi x_i)); highly multimodal, minimum 0 at 0."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -65,7 +65,7 @@ def _sqrt_index(n: int) -> Array:
     return _readonly(np.sqrt(np.arange(1, n + 1, dtype=float)), "divisors")
 
 
-def griewank(x) -> Union[np.float64, Array]:
+def griewank(x) -> np.float64 | Array:
     """1 + sum(x_i^2)/4000 - prod(cos(x_i / sqrt(i))); minimum 0 at 0."""
     x = np.asarray(x, dtype=float)
     c = np.cos(x / _sqrt_index(x.shape[-1]))
@@ -75,7 +75,7 @@ def griewank(x) -> Union[np.float64, Array]:
     return 1.0 + np.add.reduce(x * x, axis=-1) / 4000.0 - product
 
 
-def paper_quadratic(x) -> Union[np.float64, Array]:
+def paper_quadratic(x) -> np.float64 | Array:
     """(x1-1)^2 + (x2-2*x1)^2 + (x3-3*x2)^2 on exactly 3 coordinates.
 
     Unconstrained minimum 0 at (1, 2, 6); on the customary box
@@ -94,7 +94,7 @@ for _f in (sphere, rosenbrock, rastrigin, griewank, paper_quadratic):
 del _f
 
 
-_Bound = Union[float, tuple[float, ...]]
+_Bound = float | tuple[float, ...]
 
 
 @dataclass(frozen=True)

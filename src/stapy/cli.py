@@ -16,7 +16,7 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, fields
-from typing import NoReturn, Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -109,23 +109,18 @@ def _load_config_file(path: str) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
-def _config_rows(raw) -> Union[str, list[str]]:
-    # --bounds's "LO,HI" text or [lo, hi], one row for every coordinate; or [[lo, hi], ...].
-    if isinstance(raw, str):
-        return raw
+def _search_space(raw, dim: int, where: str) -> SearchSpace:
+    # --bounds's "LO,HI" (or "LO HI") text or a [lo, hi] pair, read once for every coordinate,
+    # or [[lo, hi], ...], one row per coordinate, each row as its "LO,HI"; SearchSpace judges the box.
     if isinstance(raw, list) and len(raw) == 2 and not any(isinstance(v, list) for v in raw):
-        return "{},{}".format(*raw)
-    if not isinstance(raw, list) or not all(isinstance(r, list) and len(r) == 2 for r in raw):
-        raise CliError('malformed bounds in config file: expected "LO,HI", [lo, hi] or [[lo, hi], ...]')
-    return [f"{lo},{hi}" for lo, hi in raw]
-
-
-def _search_space(rows: Union[str, list[str]], dim: int, where: str) -> SearchSpace:
-    # One "LO,HI" (or "LO HI") row per coordinate, or one read once for all; SearchSpace judges the box.
-    if not isinstance(rows, str) and len(rows) != dim:
-        raise CliError(f"dim mismatch: {len(rows)} bounds row(s) {where}, expected {dim}")
+        raw = "{},{}".format(*raw)
+    if not isinstance(raw, str):
+        if not isinstance(raw, list) or not all(isinstance(r, list) and len(r) == 2 for r in raw):
+            raise CliError(f'malformed bounds {where}: expected "LO,HI", [lo, hi] or [[lo, hi], ...]')
+        if len(raw) != dim:
+            raise CliError(f"dim mismatch: {len(raw)} bounds row(s) {where}, expected {dim}")
     pairs = []
-    for k, row in enumerate([rows] if isinstance(rows, str) else rows):
+    for k, row in enumerate([raw] if isinstance(raw, str) else ["{},{}".format(*r) for r in raw]):
         try:
             lo, hi = map(float, row.replace(",", " ").split())
         except ValueError:
@@ -157,12 +152,13 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     with ``objective``, ``space``, ``params`` and ``seeds`` resolved.
 
     argparse gets the tokens unchanged, and ``--`` is never a flag's value,
-    not even as ``--flag=--``.  A config-file value is read exactly like the
-    flag it stands for: it becomes that flag's default as a string (its JSON
-    text unless it is a string), which argparse types with the flag's
-    ``type`` when the flag is not given; seeds come from ``--seed`` alone.
-    ``bounds`` is ``--bounds``'s text, a ``[lo, hi]`` pair for every
-    coordinate, or one ``[lo, hi]`` row per coordinate.  No path may hold a
+    not even as ``--flag=--``.  Every config-file value is the default of the
+    flag it stands for, read like that flag's value when the flag is not
+    given: argparse types a string with the flag's ``type``, so any other
+    value goes in as its JSON text, unless its reader takes JSON, as
+    ``_search_space`` takes a ``bounds`` pair ``[lo, hi]`` for every
+    coordinate, or one such row per coordinate, beside ``--bounds``'s text.
+    Seeds come from ``--seed`` alone.  No path may hold a
     NUL byte, judged for ``--config`` before it is read, and no output may
     name the config file, hard links included; ``run_command`` opens the
     outputs.
@@ -178,13 +174,13 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         if value in ("--", []) or isinstance(value, list) and [] in value:
             parser.error(f"argument {action.option_strings[0]}: expected one argument")
     _without_nul({"--config": args.config})
+    where = "in config file" if args.bounds is None else "for --bounds"  # from the flags: never compare texts
     file_cfg = _load_config_file(args.config) if args.config is not None else {}
     if file_cfg:
         parser.set_defaults(
             **{
-                key: value if isinstance(value, str) else json.dumps(value)
+                key: value if isinstance(value, str) or key == "bounds" else json.dumps(value)
                 for key, value in file_cfg.items()
-                if key != "bounds"
             }
         )
         try:
@@ -227,9 +223,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
             ) from err
 
         if args.bounds is not None:
-            space = _search_space(args.bounds, dim, "for --bounds")
-        elif "bounds" in file_cfg:
-            space = _search_space(_config_rows(file_cfg["bounds"]), dim, "in config file")
+            space = _search_space(args.bounds, dim, where)
         elif benchmark is not None:
             space = benchmark.default_box(dim)
         else:

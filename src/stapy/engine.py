@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def sta_run(
     objective: ObjectiveFn,
     space: SearchSpace,
     params: Optional[StaParams] = None,
-    rng: Union[RandomSource, int, None] = None,
+    rng: RandomSource | int | None = None,
     target_fitness: Optional[float] = None,
     observer: Optional[Callable[[RunState], None]] = None,
 ) -> RunResult:
@@ -205,10 +205,7 @@ def sta_run(
     if observer is not None and not callable(observer):
         raise TypeError(f"observer must be callable or None, got {_quoted(observer)}")
     _instance(space, SearchSpace, "space")
-    if params is None:
-        params = StaParams()
-    elif not isinstance(params, StaParams):
-        raise TypeError(f"params must be a StaParams or None, got {_quoted(params)}")
+    params = StaParams() if params is None else _instance(params, StaParams, "params")
     if target_fitness is not None:
         target_fitness = _real(target_fitness, "target_fitness")
     if not isinstance(rng, RandomSource):

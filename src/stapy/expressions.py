@@ -36,10 +36,10 @@ _FUNCTIONS: dict[str, Callable] = {
     "abs": np.abs,
 }
 
-_VARIABLE_RE = re.compile(r"^x0*(\d+)$")
-# A token after its whitespace, the end, or the first character that starts none.
+_VARIABLE_RE = re.compile(r"^x0*([0-9]+)$")
+# A token after its whitespace, the end, or the first character that starts none; numerals are ASCII.
 _TOKEN_RE = re.compile(
-    r"(?s)\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?s)\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.))"
 )
@@ -104,7 +104,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.constants: list = []
-        self._index: dict = {}  # a float's bytes, else an object's id -> its i
+        # A float's bytes, else an object's id -> its i.  A literal exponent is not a slot (_SLOT_RE),
+        # so x^2 terms share a template only if their 2s are one c[i]: equal literals share one.
+        self._index: dict = {}
         self.lines: list[str] = []  # statements ``tK = ...`` before the return
         self.scope = {"__builtins__": {}, "c": self.constants, "power": np.power,
                       "_fold": _fold, "full": np.full} | _FUNCTIONS

@@ -215,6 +215,16 @@ def test_malformed_bounds_name_their_source_in_one_short_line(tmp_path, capsys, 
     assert err.count("\n") == 1 and len(err.encode()) < 400, "one short line"
 
 
+@pytest.mark.parametrize("text", ["2,1", "5"])  # CPython keeps one object per one-character str
+@pytest.mark.parametrize("given,where", [(True, "for --bounds"), (False, "in config file")])
+def test_bounds_source_is_where_the_value_came_from_not_its_text(tmp_path, text, given, where):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bounds": text}))
+    args = ["--function", "sphere", "--dim", "2", "--config", str(cfg)] + ["--bounds", text] * given
+    with pytest.raises(CliError, match=f"^malformed bounds {where}: "):
+        parse_config(args)
+
+
 @pytest.mark.parametrize(
     "content,message",
     [

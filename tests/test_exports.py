@@ -66,3 +66,21 @@ def test_the_package_imports_no_public_name_by_name():
         for alias in node.names
     ]
     assert set(imported) & set(stapy.__all__) == set()
+
+
+def test_every_name_a_submodule_imports_is_read_in_it():
+    unread = {}
+    for path in sorted(Path(stapy.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # the package imports its submodules' names to export them
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert unread == {}

@@ -294,6 +294,7 @@ def test_tokens_carry_kind_text_and_one_based_column(text, expected):
         (" \t\n ", "empty expression", 1),  # whitespace only
         ("$x1", "unexpected character '$'", 1),
         ("x1 +\n  # x2", "unexpected character '#'", 8),
+        ("x1 + \u0661", "unexpected character '\u0661'", 6),  # an Arabic-Indic one: numerals are ASCII
     ],
 )
 def test_scan_errors_name_their_one_based_column(text, message, column):
